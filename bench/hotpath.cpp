@@ -4,7 +4,7 @@
 ///
 /// Every future PR is measured against this bench: it emits
 /// BENCH_hotpath.json so the perf trajectory accumulates per PR (the CI
-/// Release job uploads the file as an artifact).  Four sections:
+/// Release job uploads the file as an artifact).  Five sections:
 ///
 ///   1. sim_events  — schedule/cancel/periodic churn through the Simulator.
 ///   2. transport   — SimTransport message storm with realistic EVV payloads
@@ -16,6 +16,11 @@
 ///                    messages per wall-clock second plus the per-type
 ///                    message counts and replica digest used by the
 ///                    determinism regression test.
+///   5. store       — ReplicaStore per-operation cost at log lengths 100,
+///                    1,000 and 10,000: a write followed by a pinned read
+///                    view, updates_ahead_of and staleness_ahead_of for a
+///                    peer four updates behind.  Each should stay flat as
+///                    the log grows.
 ///
 ///   $ ./hotpath [--smoke] [--json BENCH_hotpath.json]
 ///               [--endpoints 32] [--files 2000] [--sim-secs 10]
@@ -28,6 +33,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -35,6 +41,7 @@
 #include "bench/common.hpp"
 #include "net/batching_transport.hpp"
 #include "net/sim_transport.hpp"
+#include "replica/store.hpp"
 #include "shard/sharded_cluster.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
@@ -56,6 +63,17 @@ constexpr double kBaselineTransportMsgs = 0.88e6;
 constexpr double kBaselineBatchedTransportMsgs = 0.57e6;
 constexpr double kBaselineVvMerges = 3.32e6;
 constexpr double kBaselineMacroMsgsPerWallSec = 0.43e6;
+
+// Store section before shared-prefix read views (map log, per-write meta
+// recompute, whole-log scans and a lazily rebuilt contents copy): ns per
+// operation at log lengths 100 / 1,000 / 10,000, medians of 3 runs of
+// this bench built against the parent commit, Release -O2, on the 4-core
+// container the after numbers come from.
+constexpr std::size_t kStoreLogLengths[] = {100, 1'000, 10'000};
+constexpr double kBaselineStoreReadAfterWriteNs[] = {13'688, 101'665,
+                                                     1'440'859};
+constexpr double kBaselineStoreUpdatesAheadNs[] = {1'152, 10'299, 150'329};
+constexpr double kBaselineStoreStalenessNs[] = {943, 10'832, 152'185};
 
 // ---------------------------------------------------------------------------
 // 1. Simulator kernel: schedule / cancel / periodic churn.
@@ -328,6 +346,92 @@ MacroResult bench_macro(std::uint32_t endpoints, std::uint32_t files,
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// 5. Replica store: per-operation cost against log length.
+// ---------------------------------------------------------------------------
+struct StoreRow {
+  std::size_t log_len = 0;
+  double read_after_write_ns = 0.0;  ///< apply_local + pin a read view.
+  double updates_ahead_ns = 0.0;     ///< Peer 4 updates behind.
+  double staleness_ns = 0.0;         ///< Same peer, count-only probe.
+};
+
+/// A replica holding `len` updates from two writers, every fourth learned
+/// from the remote one; stamps are 1 ms apart.
+void fill_store(replica::ReplicaStore& s, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const SimTime stamp = msec(static_cast<std::int64_t>(i));
+    if (i % 4 == 3) {
+      replica::Update u;
+      u.key = replica::UpdateKey{1, s.evv().count_of(1) + 1};
+      u.file = s.file();
+      u.stamp = stamp;
+      u.content = "remote write";
+      u.meta_delta = 1.0;
+      s.apply_remote(u);
+    } else {
+      s.apply_local(stamp, "local write", 1.0);
+    }
+  }
+}
+
+/// Time `op` in batches until `budget_s` of timed work has run; ns per op.
+template <typename Op, typename Reset>
+double ns_per_op(double budget_s, std::uint64_t batch, Op op, Reset reset) {
+  double timed_s = 0.0;
+  std::uint64_t ops = 0;
+  while (timed_s < budget_s) {
+    const auto start = WallClock::now();
+    for (std::uint64_t i = 0; i < batch; ++i) op(i);
+    timed_s += secs_since(start);
+    ops += batch;
+    reset();
+  }
+  return timed_s * 1e9 / static_cast<double>(ops);
+}
+
+StoreRow bench_store(std::size_t len, double budget_s) {
+  StoreRow row;
+  row.log_len = len;
+  replica::ReplicaStore s(0, 1);
+  fill_store(s, len);
+  std::uint64_t sink = 0;
+
+  // A write, then a read that pins the new contents (as a session cache
+  // entry does).  Each batch of writes is rolled back afterwards (untimed)
+  // so the log stays at `len`.
+  const SimTime tail = msec(static_cast<std::int64_t>(len));
+  auto held = s.contents_snapshot();
+  row.read_after_write_ns = ns_per_op(
+      budget_s, 64,
+      [&](std::uint64_t i) {
+        s.apply_local(tail + static_cast<SimTime>(i), "read-after-write",
+                      1.0);
+        held = s.contents_snapshot();
+        sink += held->size();
+      },
+      [&] {
+        held = nullptr;
+        s.rollback_to(tail - 1);
+      });
+
+  vv::VersionVector peer = s.evv().counts();
+  peer.set(0, peer.get(0) - 4);
+  row.updates_ahead_ns = ns_per_op(
+      budget_s, 256,
+      [&](std::uint64_t) { sink += s.updates_ahead_of(peer).size(); }, [] {});
+  row.staleness_ns = ns_per_op(
+      budget_s, 256,
+      [&](std::uint64_t) { sink += s.staleness_ahead_of(peer).versions; },
+      [] {});
+  std::printf("store: log %5zu  read-after-write %9.0f ns  "
+              "updates_ahead_of %9.0f ns  staleness_ahead_of %9.0f ns "
+              "(checksum %" PRIu64 ")\n",
+              len, row.read_after_write_ns, row.updates_ahead_ns,
+              row.staleness_ns, sink);
+  return row;
+}
+
 double speedup_vs(double now, double baseline) {
   return baseline > 0.0 ? now / baseline : 0.0;
 }
@@ -335,7 +439,7 @@ double speedup_vs(double now, double baseline) {
 void write_json(const std::string& path, bool smoke,
                 const SimEventsResult& se, const TransportResult& tr,
                 const TransportResult& trb, const VvResult& vvr,
-                const MacroResult& mc) {
+                const MacroResult& mc, const std::vector<StoreRow>& store) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -365,6 +469,30 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "      \"converged_pct\": %.1f,\n", mc.converged_pct);
   std::fprintf(f, "      \"content_digest_xor\": \"%016" PRIx64 "\"\n",
                mc.digest_xor);
+  std::fprintf(f, "    },\n");
+  // ns per op by log length; `growth_*` is cost at the longest log over
+  // cost at the shortest (1.0 = flat).
+  std::fprintf(f, "    \"store\": {\n");
+  std::fprintf(f, "      \"unit\": \"ns_per_op\",\n");
+  std::fprintf(f, "      \"rows\": [\n");
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    std::fprintf(f,
+                 "        {\"log_len\": %zu, \"read_after_write\": %.0f, "
+                 "\"updates_ahead_of\": %.0f, \"staleness_ahead_of\": "
+                 "%.0f}%s\n",
+                 store[i].log_len, store[i].read_after_write_ns,
+                 store[i].updates_ahead_ns, store[i].staleness_ns,
+                 i + 1 < store.size() ? "," : "");
+  }
+  std::fprintf(f, "      ],\n");
+  const StoreRow& shortest = store.front();
+  const StoreRow& longest = store.back();
+  std::fprintf(f, "      \"growth_read_after_write\": %.2f,\n",
+               longest.read_after_write_ns / shortest.read_after_write_ns);
+  std::fprintf(f, "      \"growth_updates_ahead_of\": %.2f,\n",
+               longest.updates_ahead_ns / shortest.updates_ahead_ns);
+  std::fprintf(f, "      \"growth_staleness_ahead_of\": %.2f\n",
+               longest.staleness_ns / shortest.staleness_ns);
   std::fprintf(f, "    }\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"baseline_pre_refactor\": {\n");
@@ -376,6 +504,20 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "    \"vv_merge_ops_per_sec\": %.0f,\n", kBaselineVvMerges);
   std::fprintf(f, "    \"macro_msgs_per_wall_sec\": %.0f\n",
                kBaselineMacroMsgsPerWallSec);
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"store_before_shared_views\": {\n");
+  std::fprintf(f, "    \"unit\": \"ns_per_op\",\n");
+  std::fprintf(f, "    \"rows\": [\n");
+  for (std::size_t i = 0; i < std::size(kStoreLogLengths); ++i) {
+    std::fprintf(f,
+                 "      {\"log_len\": %zu, \"read_after_write\": %.0f, "
+                 "\"updates_ahead_of\": %.0f, \"staleness_ahead_of\": "
+                 "%.0f}%s\n",
+                 kStoreLogLengths[i], kBaselineStoreReadAfterWriteNs[i],
+                 kBaselineStoreUpdatesAheadNs[i], kBaselineStoreStalenessNs[i],
+                 i + 1 < std::size(kStoreLogLengths) ? "," : "");
+  }
+  std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"speedup\": {\n");
   std::fprintf(f, "    \"sim_events\": %.2f,\n",
@@ -403,7 +545,8 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const bool smoke = flags.get_bool("smoke", false);
 
-  print_header("Hot path: kernel, transport, version vectors, macro run");
+  print_header(
+      "Hot path: kernel, transport, version vectors, macro run, store");
 
   const std::uint64_t n_events = smoke ? 200'000 : 2'000'000;
   const std::uint64_t n_flows = smoke ? 2'000 : 20'000;
@@ -423,8 +566,12 @@ int main(int argc, char** argv) {
       bench_transport(n_flows, hops, true, endpoints, files);
   const VvResult vvr = bench_vv(n_vv);
   const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
+  std::vector<StoreRow> store;
+  for (const std::size_t len : kStoreLogLengths) {
+    store.push_back(bench_store(len, smoke ? 0.02 : 0.3));
+  }
 
   write_json(flags.get_string("json", "BENCH_hotpath.json"), smoke, se, tr,
-             trb, vvr, mc);
+             trb, vvr, mc, store);
   return 0;
 }

@@ -46,7 +46,7 @@ std::int64_t BookingSystem::seats_remaining_view(NodeId server) const {
 
 std::uint64_t BookingSystem::live_bookings(NodeId server) const {
   std::uint64_t n = 0;
-  for (const auto& u : cluster_.node(server).store().ordered_contents()) {
+  for (const auto& u : cluster_.node(server).store().contents()) {
     if (!u.invalidated) ++n;
   }
   return n;

@@ -23,7 +23,7 @@ bool WhiteboardApp::post(NodeId user, const std::string& text) {
 
 std::vector<std::string> WhiteboardApp::view(NodeId user) const {
   std::vector<std::string> out;
-  for (const auto& u : cluster_.node(user).store().ordered_contents()) {
+  for (const auto& u : cluster_.node(user).store().contents()) {
     if (!u.invalidated) out.push_back(u.content);
   }
   return out;

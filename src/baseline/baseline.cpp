@@ -177,8 +177,9 @@ void StrongNode::primary_apply_and_replicate(NodeId origin,
                                              std::string content,
                                              double meta_delta) {
   // The primary is the only writer in the store's eyes: a single total
-  // order, so version vectors never conflict.
-  const replica::Update& u = store_.apply_local(
+  // order, so version vectors never conflict.  A copy: the store's
+  // reference lasts only until its next mutation.
+  const replica::Update u = store_.apply_local(
       transport_.local_time(self_), std::move(content), meta_delta);
   const std::uint64_t commit_id = next_commit_id_++;
   PendingCommit pc;

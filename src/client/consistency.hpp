@@ -124,10 +124,10 @@ struct WriteConcern {
 /// served, how stale the served view was relative to the coordinator at
 /// serve time, and the client-observed latency the routing implies.
 struct ReadResult {
-  /// Canonical-order view of the served replica (shared immutable
-  /// snapshot — single-replica reads are zero-copy; quorum reads own a
-  /// freshly merged vector).
-  std::shared_ptr<const std::vector<replica::Update>> updates;
+  /// Canonical-order view of the served replica (a shared immutable
+  /// prefix of its log — single-replica reads are zero-copy; quorum reads
+  /// that had to merge own the merged updates).
+  std::shared_ptr<const replica::ContentsView> updates;
   NodeId served_by = kNoNode;  ///< Endpoint whose view won.
   std::uint32_t replicas_contacted = 0;
   /// BoundedStaleness fell back to the coordinator (bound exceeded).

@@ -95,7 +95,7 @@ std::vector<replica::Update> IdeaNode::read(bool trigger_detection) {
   return store_.ordered_contents();
 }
 
-std::shared_ptr<const std::vector<replica::Update>> IdeaNode::read_view(
+std::shared_ptr<const replica::ContentsView> IdeaNode::read_view(
     bool trigger_detection) {
   if (trigger_detection) probe();
   return store_.contents_snapshot();

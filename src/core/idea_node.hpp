@@ -123,8 +123,8 @@ class IdeaNode {
   /// replica (ReplicaStore::contents_snapshot).  The session read path
   /// serves gets from this, so fan-out reads share one allocation
   /// instead of copying the log per get.
-  [[nodiscard]] std::shared_ptr<const std::vector<replica::Update>>
-  read_view(bool trigger_detection = false);
+  [[nodiscard]] std::shared_ptr<const replica::ContentsView> read_view(
+      bool trigger_detection = false);
 
   /// Record hosting activity for temperature purposes without issuing a
   /// write.  Sharded replicas call this when they ingest a replicated

@@ -94,8 +94,8 @@ class IdeaService final : public net::MessageHandler {
   /// immutable view (IdeaNode::read_view), or nullptr when the file is
   /// not open here.  The client session read path funnels through this
   /// instead of copying the log per get.
-  [[nodiscard]] std::shared_ptr<const std::vector<replica::Update>>
-  read_view(FileId file) {
+  [[nodiscard]] std::shared_ptr<const replica::ContentsView> read_view(
+      FileId file) {
     IdeaNode* node = find(file);
     return node == nullptr ? nullptr : node->read_view();
   }

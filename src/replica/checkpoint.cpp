@@ -46,7 +46,7 @@ CheckpointRecord make_record(NodeId endpoint, std::uint32_t incarnation,
   record.file = ref.file;
   record.taken_at = now;
   if (ref.members != nullptr) record.members = *ref.members;
-  record.updates = ref.store->export_log();
+  record.updates = ref.store->contents();
   return record;
 }
 

@@ -13,8 +13,8 @@
 /// Two engines expose the classic write-amplification vs recovery-bytes
 /// trade-off (libcrpm's undolog vs dirtybit split):
 ///
-///  * FullSnapshotEngine — persists every hosted replica's full
-///    export_log() image each period.  Maximum write amplification,
+///  * FullSnapshotEngine — persists every hosted replica's full contents
+///    image each period.  Maximum write amplification,
 ///    recovery always finds a complete image.
 ///
 ///  * IncrementalEngine — dirty-file tracking: a replica is persisted
@@ -57,7 +57,10 @@ struct CheckpointRecord {
   /// loadable while the group membership (and thus the rank mapping) is
   /// unchanged; recovery discards records whose members moved.
   std::vector<NodeId> members;
-  std::vector<Update> updates;
+  /// The replica's canonical contents when the record was taken: a pinned
+  /// read view that shares the store's log buffer, so holding a record
+  /// costs no copy until the store itself has to copy its buffer.
+  ContentsView updates;
   std::uint64_t bytes = 0;  ///< Modeled serialized size.
 };
 

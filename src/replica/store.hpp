@@ -4,15 +4,29 @@
 ///
 /// This is the "general distributed file system" the paper assumes beneath
 /// IDEA: it guarantees read/write correctness for the local replica (apply
-/// is idempotent, the log is the source of truth, meta-data is recomputed
+/// is idempotent, the log is the source of truth, meta-data is maintained
 /// deterministically) and exposes exactly what the consistency layer needs:
 /// the extended version vector, the updates a peer is missing, snapshots and
 /// rollback.
+///
+/// The log is one buffer in canonical display order (CanonicalOrder), and
+/// read views are prefixes of it (ContentsView).  A writer's history is
+/// dense — the replica holds exactly seqs 1..evv().count_of(writer) — and
+/// its stamps never decrease, so the EVV's per-writer stamp lists locate
+/// any update by binary search and name the suffix a peer lacks without a
+/// walk of the whole log.  Every per-operation call costs O(change):
+///   * apply at the canonical tail, pin a view: O(1) amortized;
+///   * find: O(log n); invalidate: O(log n), plus a buffer copy when a
+///     view holds the buffer;
+///   * updates_ahead_of: O(missing * log n); staleness_ahead_of: O(writers);
+///   * meta value: O(1) while the live deltas are small integers (a
+///     running sum, bit-identical to the key-ordered fold), else the fold.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +43,8 @@ class ReplicaStore {
   [[nodiscard]] FileId file() const { return file_; }
 
   /// Issue a local write stamped with the node's local clock.  Returns the
-  /// stored update (with its assigned sequence number).
+  /// stored update (with its assigned sequence number).  Like find(), the
+  /// reference is valid until this store's next mutation.
   const Update& apply_local(SimTime local_now, std::string content,
                             double meta_delta);
 
@@ -44,18 +59,22 @@ class ReplicaStore {
     return pending_.size();
   }
 
-  [[nodiscard]] bool has(const UpdateKey& key) const;
+  [[nodiscard]] bool has(const UpdateKey& key) const {
+    return key.seq >= 1 && key.seq <= evv_.count_of(key.writer);
+  }
+  /// The held update with this key, or nullptr.  Valid until this store's
+  /// next mutation (apply, invalidate, import, rollback).
   [[nodiscard]] const Update* find(const UpdateKey& key) const;
 
   /// Updates this replica holds that `peer_counts` does not — the payload of
-  /// a resolution/anti-entropy push.
+  /// a resolution/anti-entropy push — in (writer, seq) order.
   [[nodiscard]] std::vector<Update> updates_ahead_of(
       const vv::VersionVector& peer_counts) const;
 
   /// How far a peer at `peer_counts` lags this replica: number of updates
-  /// it is missing and the stamp of the oldest one.  Counts in place — no
-  /// update copies — so the read router can probe staleness per routed
-  /// read without touching contents.
+  /// it is missing and the stamp of the oldest one.  Reads only the EVV's
+  /// stamp lists — no update copies — so the read router can probe
+  /// staleness per routed read without touching contents.
   struct StalenessProbe {
     std::uint64_t versions = 0;
     SimTime oldest_stamp = 0;  ///< Meaningless when versions == 0.
@@ -66,13 +85,15 @@ class ReplicaStore {
   /// The full applied log as a flat batch, in (writer, seq) order — the
   /// state a migration streams to a file's new replica group.  Carries
   /// invalidation flags, so the importer reproduces the meta value too.
-  [[nodiscard]] std::vector<Update> export_log() const;
+  [[nodiscard]] std::vector<Update> export_log() const {
+    return updates_ahead_of(vv::VersionVector{});
+  }
 
   /// What one import_log() call did, per update in the batch.
   struct ImportReport {
     std::size_t applied = 0;     ///< Newly added to the log (including any
                                  ///< parked successors the batch unblocked).
-    std::size_t duplicates = 0;  ///< Already held (or covered by counts).
+    std::size_t duplicates = 0;  ///< Already held.
     /// Invalidation flags OR'd onto updates already held un-flagged: the
     /// batch knew a resolution outcome this replica had missed.
     std::size_t invalidation_merges = 0;
@@ -85,14 +106,17 @@ class ReplicaStore {
   /// migrated or restarted coordinator continues its predecessor's
   /// sequence).  Updates already held contribute at most their
   /// invalidation flag, which is OR'd in.
-  ImportReport import_log(const std::vector<Update>& updates);
+  ImportReport import_log(std::span<const Update> updates);
 
-  /// Mark an update invalidated (invalidate-both policy) and recompute the
+  /// Mark an update invalidated (invalidate-both policy) and update the
   /// meta value.  Returns false if the update is unknown.
   bool invalidate(const UpdateKey& key);
 
-  /// Keys of every invalidated update in the log.
-  [[nodiscard]] std::vector<UpdateKey> invalidated_keys() const;
+  /// Keys of every invalidated update in the log, in key order.
+  [[nodiscard]] const std::vector<UpdateKey>& invalidated_keys() const {
+    return invalidated_;
+  }
+  [[nodiscard]] bool is_invalidated(const UpdateKey& key) const;
 
   /// Drop every update with stamp > t and rebuild the version vector; the
   /// rollback path of §4.4.2 (bottom layer contradicted the top layer).
@@ -120,27 +144,27 @@ class ReplicaStore {
     snapshot_.reset();
   }
 
-  /// Updates in canonical display order (what a reader sees).
-  [[nodiscard]] std::vector<Update> ordered_contents() const;
-
-  /// Shared immutable canonical-order view of the contents for zero-copy
-  /// reads: every get between two replica mutations refcounts one
-  /// allocation instead of copying the whole log.  Rebuilt lazily after
-  /// any content mutation (updates, invalidation, rollback).
-  [[nodiscard]] const std::shared_ptr<const std::vector<Update>>&
-  contents_snapshot() const {
-    if (contents_snapshot_ == nullptr) {
-      contents_snapshot_ =
-          std::make_shared<const std::vector<Update>>(ordered_contents());
-    }
-    return contents_snapshot_;
+  /// Updates in canonical display order (what a reader sees), copied.
+  [[nodiscard]] std::vector<Update> ordered_contents() const {
+    return buffer_ == nullptr ? std::vector<Update>{} : *buffer_;
   }
 
-  /// Read-only view of the raw update log, keyed by (writer, seq) — not
-  /// canonical order.  Lets scans (e.g. a kv lookup for one key) walk the
-  /// log in place instead of copying every update.
-  [[nodiscard]] const std::map<UpdateKey, Update>& log() const {
-    return log_;
+  /// The current contents as an immutable canonical-order view: a prefix
+  /// of the store's buffer, so taking one is O(1).  Held views stay valid
+  /// and unchanged after later mutations.
+  [[nodiscard]] ContentsView contents() const {
+    return ContentsView(buffer_, update_count());
+  }
+
+  /// contents() shared: every read between two mutations refcounts one
+  /// view object; any content mutation (updates, invalidation, rollback)
+  /// starts a new one.
+  [[nodiscard]] const std::shared_ptr<const ContentsView>& contents_snapshot()
+      const {
+    if (view_ == nullptr) {
+      view_ = std::make_shared<const ContentsView>(contents());
+    }
+    return view_;
   }
 
   /// Order-sensitive digest of the canonical contents; equal digests mean
@@ -150,7 +174,9 @@ class ReplicaStore {
   /// Current critical meta-data value (sum of live meta_deltas).
   [[nodiscard]] double meta_value() const { return evv_.meta(); }
 
-  [[nodiscard]] std::size_t update_count() const { return log_.size(); }
+  [[nodiscard]] std::size_t update_count() const {
+    return buffer_ == nullptr ? 0 : buffer_->size();
+  }
   [[nodiscard]] std::uint64_t local_seq() const { return local_seq_; }
 
   /// Monotone count of content mutations (every apply/invalidate/rollback
@@ -162,17 +188,52 @@ class ReplicaStore {
   }
 
  private:
-  void recompute_meta();
+  using Buffer = std::vector<Update>;
+
+  /// Buffer index of `key`, or npos when it is not held.
+  [[nodiscard]] std::size_t position_of(const UpdateKey& key) const;
+  /// Buffer index of held update `key`, stamped `stamp`.
+  [[nodiscard]] std::size_t locate(const UpdateKey& key, SimTime stamp) const;
+  /// Place `u` at its canonical position (recording it in the EVV and the
+  /// meta sum); returns its index.
+  std::size_t insert(Update u);
+  /// Take sole ownership of the buffer before an in-place change of the
+  /// first `keep` updates, copying them if a live view shares it.
+  Buffer& own_buffer(std::size_t keep);
+  /// Flag the update at `pos` invalidated (it must be live).
+  void mark_invalidated(std::size_t pos);
+  /// Add or remove `u`'s contribution to the meta sum.
+  void count_meta(const Update& u, bool add);
+  /// The key-ordered left fold of live meta deltas.
+  [[nodiscard]] double fold_meta() const;
+  /// Bookkeeping after every content mutation: publish the meta value,
+  /// bump mutation_count and drop the shared snapshots.
+  void mutated();
+  /// The dense per-writer invariant (checked in assert builds).
+  [[nodiscard]] bool dense() const;
+
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   NodeId node_;
   FileId file_;
   std::uint64_t local_seq_ = 0;
   std::uint64_t mutation_count_ = 0;
-  std::map<UpdateKey, Update> log_;
+  /// The log in canonical order; allocated on the first update.  Shared
+  /// with every live ContentsView, which reads only its own prefix.
+  std::shared_ptr<Buffer> buffer_;
   std::map<UpdateKey, Update> pending_;  ///< Reorder buffer.
+  std::vector<UpdateKey> invalidated_;   ///< Sorted.
+  /// Running meta sum over live updates whose delta is a small integer
+  /// (exact in int64), Σ|delta| over them, and how many live deltas are
+  /// not small integers.  While the latter is 0 and Σ|delta| < 2^53 every
+  /// partial sum is exact in a double, so the running sum equals the
+  /// key-ordered fold bit for bit; otherwise the fold is recomputed.
+  std::int64_t meta_sum_ = 0;
+  std::uint64_t meta_abs_ = 0;
+  std::size_t meta_inexact_ = 0;
   vv::ExtendedVersionVector evv_;
   mutable std::shared_ptr<const vv::ExtendedVersionVector> snapshot_;
-  mutable std::shared_ptr<const std::vector<Update>> contents_snapshot_;
+  mutable std::shared_ptr<const ContentsView> view_;
 };
 
 }  // namespace idea::replica

@@ -92,8 +92,7 @@ bool ReplicaSyncAgent::put(std::string content, double meta_delta,
 bool ReplicaSyncAgent::put_with_concern(std::string content,
                                         double meta_delta, PutConcern concern,
                                         const obs::TraceContext& tc,
-                                        const replica::Update** applied_out) {
-  if (applied_out != nullptr) *applied_out = nullptr;
+                                        replica::Update* applied_out) {
   if (!node_.write(std::move(content), meta_delta)) {
     ++stats_.blocked_puts;
     if (concern.on_result) concern.on_result(false, 0);
@@ -102,22 +101,22 @@ bool ReplicaSyncAgent::put_with_concern(std::string content,
   ++stats_.puts;
 
   const replica::ReplicaStore& store = node_.store();
-  const replica::Update* u =
-      store.find(replica::UpdateKey{node_.id(), store.local_seq()});
-  if (u == nullptr) {  // defensive; apply_local just stored it
-    if (concern.on_result) concern.on_result(concern.peer_acks_needed == 0, 1);
-    return true;
-  }
+  // One shared allocation for the whole fan-out; each send refcounts it.
+  // It also keeps the applied update alive for the rest of this call: the
+  // store's own copy moves on its next mutation, and the concern callback
+  // below may write to this file synchronously.
+  const net::Payload payload = std::vector<replica::Update>{
+      *store.find(replica::UpdateKey{node_.id(), store.local_seq()})};
+  const replica::Update& u =
+      payload.as<std::vector<replica::Update>>().front();
   if (applied_out != nullptr) *applied_out = u;
 
-  // One shared allocation for the whole fan-out; each send refcounts it.
   // A write-concern put asks for acks even when the group's resend
   // feature is off — the flag is metadata, so flows that never declare a
   // concern stay byte-identical.
   const bool want_ack =
       options_.resend_timeout > 0 || concern.peer_acks_needed > 0;
-  const net::Payload payload = std::vector<replica::Update>{*u};
-  const auto bytes = static_cast<std::uint32_t>(16 + u->wire_bytes());
+  const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes());
   std::uint64_t pushed = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
     if (rank == node_.id()) continue;
@@ -146,7 +145,7 @@ bool ReplicaSyncAgent::put_with_concern(std::string content,
   if (pushed > 0 && (options_.resend_timeout > 0 || concern.on_result)) {
     // track_pending fails the concern itself when tracking is impossible
     // (group too large for the rank bitmask).
-    if (track_pending(*u, concern.peer_acks_needed,
+    if (track_pending(u, concern.peer_acks_needed,
                       std::move(concern.on_result)) &&
         concern.peer_acks_needed > 0) {
       ++stats_.wack_tracked;

@@ -165,10 +165,11 @@ class ReplicaSyncAgent final : public net::MessageHandler {
   /// give-up path has already scheduled targeted anti-entropy, so the
   /// data still converges even though the ack did not).  With an empty
   /// concern this is byte-identical to put().  `applied_out`, when
-  /// non-null, receives the locally applied update (for hint queueing).
+  /// non-null, receives a copy of the locally applied update (for hint
+  /// queueing) before the callback can fire.
   bool put_with_concern(std::string content, double meta_delta,
                         PutConcern concern, const obs::TraceContext& tc = {},
-                        const replica::Update** applied_out = nullptr);
+                        replica::Update* applied_out = nullptr);
 
   /// Arm the periodic anti-entropy exchange (idempotent re-arm; 0 stops).
   /// Rounds rotate deterministically over the other ranks, so every pair

@@ -39,6 +39,37 @@ const RouterMetrics& router_metrics() {
   return m;
 }
 
+/// Union of canonical-order replica views in one linear merge.  An update
+/// several views hold sits at the same canonical position in each (same
+/// key, same stamp): the first view's copy is kept, with the invalidation
+/// flag OR'd across all of them.
+std::vector<replica::Update> merge_canonical(
+    const std::vector<std::shared_ptr<const replica::ContentsView>>& views) {
+  std::size_t largest = 0;
+  for (const auto& v : views) largest = std::max(largest, v->size());
+  std::vector<replica::Update> out;
+  out.reserve(largest);
+  std::vector<std::size_t> next(views.size(), 0);
+  const replica::CanonicalOrder before;
+  for (;;) {
+    const replica::Update* least = nullptr;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (next[i] == views[i]->size()) continue;
+      const replica::Update& head = (*views[i])[next[i]];
+      if (least == nullptr || before(head, *least)) least = &head;
+    }
+    if (least == nullptr) return out;
+    out.push_back(*least);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (next[i] == views[i]->size()) continue;
+      const replica::Update& head = (*views[i])[next[i]];
+      if (head.key != out.back().key) continue;
+      out.back().invalidated = out.back().invalidated || head.invalidated;
+      ++next[i];
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<NodeId> RequestRouter::group_of(FileId file) const {
@@ -138,9 +169,13 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
     };
   }
 
-  const replica::Update* applied = nullptr;
+  // The applied update comes back by value: with every peer ack covered
+  // by hints the callback fires inside the put, and it may write to this
+  // file again before the hints are queued.
+  replica::Update applied;
   if (!agent->put_with_concern(std::move(content), meta_delta,
-                               std::move(agent_concern), tc, &applied)) {
+                               std::move(agent_concern), tc,
+                               hint_plan.empty() ? nullptr : &applied)) {
     // The agent already failed the callback.
     ++stats_.blocked_writes;
     return d;
@@ -153,9 +188,9 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   if (w > 1) ++stats_.wack_writes;
 
   // Park the hints only after the local apply produced the real update.
-  if (applied != nullptr && !hint_plan.empty()) {
+  if (!hint_plan.empty()) {
     for (const auto& [target, stand_in] : hint_plan) {
-      cluster_.queue_hint(file, target, stand_in, *applied);
+      cluster_.queue_hint(file, target, stand_in, applied);
       ++stats_.hinted_writes;
     }
     ++stats_.sloppy_writes;
@@ -404,10 +439,9 @@ client::ReadResult RequestRouter::serve_quorum(
   if (coordinator_dominates) {
     for (std::size_t i = 1; i < nodes.size() && coordinator_dominates;
          ++i) {
-      for (const auto& [key, u] : nodes[i]->store().log()) {
-        if (!u.invalidated) continue;
-        const replica::Update* held = coordinator->store().find(key);
-        if (held == nullptr || !held->invalidated) {
+      for (const replica::UpdateKey& key :
+           nodes[i]->store().invalidated_keys()) {
+        if (!coordinator->store().is_invalidated(key)) {
           coordinator_dominates = false;
           break;
         }
@@ -418,18 +452,13 @@ client::ReadResult RequestRouter::serve_quorum(
     res.updates = coordinator->read_view();
     res.served_by = targets.front();
   } else {
-    std::map<replica::UpdateKey, replica::Update> merged;
-    for (core::IdeaNode* node : nodes) {
-      for (const auto& [key, u] : node->store().log()) {
-        auto [it, inserted] = merged.emplace(key, u);
-        if (!inserted && u.invalidated) it->second.invalidated = true;
-      }
-    }
-    auto out = std::make_shared<std::vector<replica::Update>>();
-    out->reserve(merged.size());
-    for (auto& [key, u] : merged) out->push_back(std::move(u));
-    std::sort(out->begin(), out->end(), replica::CanonicalOrder{});
-    res.updates = std::move(out);
+    std::vector<std::shared_ptr<const replica::ContentsView>> views;
+    views.reserve(nodes.size());
+    for (core::IdeaNode* node : nodes) views.push_back(node->read_view());
+    auto merged = std::make_shared<const std::vector<replica::Update>>(
+        merge_canonical(views));
+    res.updates =
+        std::make_shared<const replica::ContentsView>(merged, merged->size());
     res.served_by = freshest;
   }
   res.replicas_contacted = static_cast<std::uint32_t>(nodes.size());

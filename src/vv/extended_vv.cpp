@@ -35,6 +35,14 @@ void ExtendedVersionVector::record_update(NodeId writer, SimTime when,
   meta_ = meta_after;
 }
 
+void ExtendedVersionVector::drop_after(SimTime t) {
+  for (auto& [writer, list] : stamps_) {
+    list.erase(std::upper_bound(list.begin(), list.end(), t), list.end());
+  }
+  std::erase_if(stamps_,
+                [](const WriterStamps& e) { return e.second.empty(); });
+}
+
 std::uint64_t ExtendedVersionVector::count_of(NodeId writer) const {
   const std::vector<SimTime>* list = stamps_of(writer);
   return list == nullptr ? 0 : list->size();

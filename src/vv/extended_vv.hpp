@@ -40,6 +40,16 @@ class ExtendedVersionVector {
   /// `meta_after`.  Stamps of one writer must be non-decreasing.
   void record_update(NodeId writer, SimTime when, double meta_after);
 
+  /// Forget every update stamped after `t`.  Stamps of one writer are
+  /// non-decreasing, so this drops a suffix of each writer's history; a
+  /// writer left with no updates disappears.  Meta-data and triple stay.
+  void drop_after(SimTime t);
+
+  /// Every writer's history, sorted by writer id.
+  [[nodiscard]] const std::vector<WriterStamps>& histories() const {
+    return stamps_;
+  }
+
   /// Number of updates known from `writer`.
   [[nodiscard]] std::uint64_t count_of(NodeId writer) const;
 

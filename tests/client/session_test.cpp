@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -256,6 +257,62 @@ TEST(ClientSessionTest, QuorumMergesInvalidationFlagsFromAnyReplica) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(ClientSessionTest, QuorumSlowPathRendersTheMapUnion) {
+  // Diverged replicas force the merge: one holds an invalidation the
+  // coordinator lacks, another an update from a second writer nobody
+  // else has seen.  The linear merge of the contacted replicas'
+  // canonical views must render exactly the union of their logs keyed
+  // by (writer, seq) with invalidation flags OR'd, sorted canonically.
+  shard::ShardedCluster cluster(session_config(919));
+  Client client(cluster);
+  ClientSession writer = client.session();
+
+  const FileId file = 8;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(writer.put(file, "v" + std::to_string(i), 1.0).ok());
+    cluster.run_for(msec(100));
+  }
+  cluster.run_for(sec(1));
+
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 3u);
+  ASSERT_TRUE(cluster.replica(file, group[1])
+                  ->store()
+                  .invalidate(replica::UpdateKey{0, 2}));
+  // Stamped between the coordinator's writes: lands mid-buffer.
+  core::IdeaNode* side = cluster.replica(file, group[2]);
+  const SimTime mid = side->store().find(replica::UpdateKey{0, 3})->stamp - 1;
+  side->store().apply_local(mid, "side", 2.0);
+
+  std::map<replica::UpdateKey, replica::Update> merged;
+  for (NodeId e : group) {
+    for (const replica::Update& u :
+         *cluster.replica(file, e)->store().contents_snapshot()) {
+      auto [it, inserted] = merged.emplace(u.key, u);
+      if (!inserted && u.invalidated) it->second.invalidated = true;
+    }
+  }
+  std::vector<replica::Update> expected;
+  for (const auto& [key, u] : merged) expected.push_back(u);
+  std::sort(expected.begin(), expected.end(), replica::CanonicalOrder{});
+
+  ClientSession reader =
+      client.session({.level = ConsistencyLevel::quorum(3), .origin = 0});
+  const OpHandle<ReadResult> h = reader.read(file);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h->replicas_contacted, 3u);
+  ASSERT_EQ(h->updates->size(), expected.size());
+  ASSERT_EQ(expected.size(), 5u);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const replica::Update& got = (*h->updates)[i];
+    EXPECT_EQ(got.key, expected[i].key) << i;
+    EXPECT_EQ(got.stamp, expected[i].stamp) << i;
+    EXPECT_EQ(got.content, expected[i].content) << i;
+    EXPECT_EQ(got.invalidated, expected[i].invalidated) << i;
+  }
+  EXPECT_EQ(h->updates->back().content, "v3");
 }
 
 TEST(ClientSessionTest, MigrationWindowPinsPolicyReadsToWarmCoordinator) {

@@ -7,8 +7,9 @@ namespace {
 
 TEST(ReplicaStore, LocalWritesSequence) {
   ReplicaStore s(0, 1);
-  const Update& u1 = s.apply_local(sec(1), "a", 1.0);
-  const Update& u2 = s.apply_local(sec(2), "b", 2.0);
+  // Copies: a returned reference lasts only until the next mutation.
+  const Update u1 = s.apply_local(sec(1), "a", 1.0);
+  const Update u2 = s.apply_local(sec(2), "b", 2.0);
   EXPECT_EQ(u1.key.seq, 1u);
   EXPECT_EQ(u2.key.seq, 2u);
   EXPECT_EQ(s.local_seq(), 2u);

@@ -325,6 +325,12 @@ TEST(CrashRecoveryTest, CheckpointEnginesAndDurableStorageSemantics) {
   ASSERT_TRUE(session.put(kFile, "y", 1.0).ok());
   cluster.checkpoint_endpoint(group[0]);
   ASSERT_TRUE(session.put(kFile, "z", 1.0).ok());
+  // A record shares the replica's log buffer but stays a snapshot: the
+  // write after it does not show in it.
+  const replica::CheckpointRecord* second = storage.latest(group[0], kFile);
+  ASSERT_NE(second, nullptr);
+  ASSERT_EQ(second->updates.size(), 2u);
+  EXPECT_EQ(second->updates.back().content, "y");
   cluster.checkpoint_endpoint(group[0]);
   const replica::CheckpointRecord* newest = storage.latest(group[0], kFile);
   ASSERT_NE(newest, nullptr);

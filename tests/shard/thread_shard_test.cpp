@@ -150,7 +150,10 @@ TEST(ThreadShardTest, AntiEntropyHealsColdReplicaOverThreadTransport) {
   // the wall clock a generous real-time margin instead (thousands of
   // periods even on a loaded CI machine).
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  for (auto& agent : stack.sync) agent->stop_anti_entropy();
+  // Stop on the transport thread, which owns the agents' timer handles.
+  transport.call_after(msec(1), [&stack] {
+    for (auto& agent : stack.sync) agent->stop_anti_entropy();
+  });
   ASSERT_TRUE(transport.wait_idle(sec(3600)));
 
   for (std::size_t rank = 0; rank < 3; ++rank) {

@@ -152,6 +152,45 @@ TEST(WriteConcernTest, SloppyQuorumHintsCrashedMemberAndDrainsOnce) {
             cluster.replica_at_rank(file, 0)->store().update_count());
 }
 
+TEST(WriteConcernTest, HintCarriesTheWriteEvenWhenTheCallbackWritesAgain) {
+  // k = 2, w = majority (2), the other member dark: the hint covers the
+  // only peer ack, so the completion callback fires inside the put —
+  // before the router queues the hint.  A callback that writes to the
+  // same file again must not change (or dangle) what the hint carries.
+  shard::ShardedClusterConfig cfg = concern_config(23);
+  cfg.replication = 2;
+  shard::ShardedCluster cluster(cfg);
+
+  const FileId file = 9;
+  ASSERT_NE(cluster.router().open(file), nullptr);
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 2u);
+  const NodeId dark = group[1];
+  cluster.crash_endpoint(dark);
+
+  bool fired = false;
+  const shard::RequestRouter::WriteDispatch d =
+      cluster.router().write_with_concern(
+          file, "first", 1.0, WriteConcern::majority(),
+          [&](bool satisfied, std::uint32_t, std::uint32_t hinted, NodeId) {
+            fired = true;
+            EXPECT_TRUE(satisfied);
+            EXPECT_EQ(hinted, 1u);
+            for (int i = 0; i < 4; ++i) {
+              EXPECT_TRUE(cluster.router().write(file, "again", 1.0));
+            }
+          });
+  EXPECT_TRUE(fired) << "the callback should fire inside the put";
+  EXPECT_TRUE(d.applied);
+  EXPECT_EQ(d.hinted, 1u);
+
+  ASSERT_EQ(cluster.hint_store().depth_for(dark), 1u);
+  const replica::HintedWrite& hint = cluster.hint_store().hints().front();
+  EXPECT_EQ(hint.update.content, "first");
+  EXPECT_EQ(hint.update.key, (replica::UpdateKey{0, 1}));
+  EXPECT_EQ(cluster.replica_at_rank(file, 0)->store().update_count(), 5u);
+}
+
 TEST(WriteConcernTest, MigrationReMintsHintsForStillCrashedMembers) {
   // Mint -> migrate -> drain: a hint parked for a crashed member must
   // survive a membership change that reshapes the member's group.  The
