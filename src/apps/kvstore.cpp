@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/digest.hpp"
+
 namespace idea::apps {
 
 KvStore::KvStore(shard::ShardedCluster& cluster, KvStoreOptions options)
@@ -12,13 +14,8 @@ KvStore::KvStore(shard::ShardedCluster& cluster, KvStoreOptions options)
       session_(cluster, options.session) {}
 
 FileId KvStore::bucket_of(const std::string& key) const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over the key bytes
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
   return options_.first_file +
-         static_cast<FileId>(mix64(h) % options_.buckets);
+         static_cast<FileId>(mix64(fnv1a(key)) % options_.buckets);
 }
 
 double KvStore::pair_meta(const std::string& key, const std::string& value) {

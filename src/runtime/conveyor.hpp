@@ -1,67 +1,56 @@
 #pragma once
 /// \file conveyor.hpp
 /// \brief Cross-worker packet pipeline: per-(segment,segment) batching of
-///        messages, flushed at epoch boundaries over SPSC lanes.
+///        messages, handed over at epoch boundaries.
 ///
 /// This is the thread-tier mirror of net::BatchingTransport's per-pair
 /// wire coalescing, patterned on the micmac0 node runtime's conveyor: a
 /// message crossing segments is *accumulated* into the (src,dst) outbox
-/// while the source's epoch task runs (plain vector — only the thread
-/// executing src touches it), *sealed* into one packet per destination
+/// while the source's epoch task runs, *sealed* into that lane's packet
 /// when the task ends, and *drained* by the destination's task at the
-/// start of a later epoch.  Each (src,dst) lane is an SPSC ring: at any
-/// moment at most one thread runs the source's task (producer) and one
-/// the destination's (consumer), and the epoch barrier orders hand-offs —
-/// so the pipeline is lock-free end to end.
+/// start of the next epoch.  Every structure is plain data, ordered by
+/// the epoch barrier alone: each lane has two packet slots by epoch
+/// parity.  Epoch E seals into slot E & 1 and drains slot (E - 1) & 1, so
+/// a lane's producer and consumer never touch the same slot within an
+/// epoch, and a slot is refilled only after the barrier that follows its
+/// drain.
+///
+/// Cadence contract: every destination drains every epoch (the
+/// ParallelSimulator runs every partition's begin_epoch in every batch),
+/// so each lane carries at most one packet per epoch; seal() asserts the
+/// slot it fills was drained.
 ///
 /// Determinism contract: the destination drains sources in ascending
-/// segment order, packets per lane in FIFO order, and messages within a
-/// packet in post order.  None of that depends on which worker thread ran
-/// which task, which is exactly why a parallel run replays identically to
-/// the sequential oracle.
-///
-/// A packet sealed in epoch E is visible to drains with `current > E` —
-/// the epoch edge is the flush instant.  Packets never expire; a lane's
-/// ring being full makes seal() spin-yield (the consumer drains every
-/// epoch, so the wait is bounded by one epoch in practice; counted in
-/// stats().lane_stalls).
+/// segment order and messages within a packet in post order.  None of
+/// that depends on which worker thread ran which task, which is exactly
+/// why a parallel run replays identically to the sequential oracle.
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
-
-#include "runtime/spsc_queue.hpp"
 
 namespace idea::runtime {
 
 struct ConveyorStats {
-  std::uint64_t messages = 0;      ///< Messages posted across all lanes.
-  std::uint64_t packets = 0;       ///< Packets sealed.
-  std::uint64_t drained = 0;       ///< Packets delivered.
-  std::uint64_t lane_stalls = 0;   ///< seal() waits on a full lane.
-  std::size_t max_packet = 0;      ///< Largest packet sealed.
+  std::uint64_t messages = 0;  ///< Messages posted across all lanes.
+  std::uint64_t packets = 0;   ///< Packets sealed.
+  std::uint64_t drained = 0;   ///< Packets delivered.
+  /// seal() waits on an undrained lane: 0 by construction, since a lane's
+  /// slot is always drained the epoch after it is sealed.
+  std::uint64_t lane_stalls = 0;
+  std::size_t max_packet = 0;  ///< Largest packet sealed.
 };
 
 template <typename T>
 class Conveyor {
  public:
-  struct Packet {
-    std::uint64_t epoch = 0;
-    std::uint32_t src = 0;
-    std::vector<T> msgs;
-  };
-
-  explicit Conveyor(std::uint32_t segments, std::size_t lane_capacity = 64)
-      : segments_(segments) {
-    outboxes_.resize(static_cast<std::size_t>(segments_) * segments_);
-    lanes_.reserve(outboxes_.size());
-    for (std::size_t i = 0; i < outboxes_.size(); ++i) {
-      lanes_.push_back(std::make_unique<SpscQueue<Packet>>(lane_capacity));
-    }
-    stats_by_src_.resize(segments_);
-  }
+  explicit Conveyor(std::uint32_t segments)
+      : segments_(segments),
+        outboxes_(static_cast<std::size_t>(segments) * segments),
+        sealed_{outboxes_, outboxes_},
+        stats_by_src_(segments) {}
 
   [[nodiscard]] std::uint32_t segments() const { return segments_; }
 
@@ -73,49 +62,46 @@ class Conveyor {
   }
 
   /// Seal src's non-empty outboxes into one packet per destination,
-  /// stamped with `epoch`.  Called by src's task as it ends.
+  /// deliverable in epoch `epoch + 1`.  Called by src's task as it ends.
   void seal(std::uint32_t src, std::uint64_t epoch) {
     for (std::uint32_t dst = 0; dst < segments_; ++dst) {
       std::vector<T>& box = outboxes_[lane_index(src, dst)];
       if (box.empty()) continue;
+      std::vector<T>& slot = sealed_[epoch & 1][lane_index(src, dst)];
+      assert(slot.empty() &&
+             "lane sealed twice without a drain: every destination must "
+             "begin every epoch");
       ConveyorStats& s = stats_by_src_[src];
       ++s.packets;
       if (box.size() > s.max_packet) s.max_packet = box.size();
-      Packet pkt{epoch, src, std::move(box)};
-      box.clear();
-      SpscQueue<Packet>& lane = *lanes_[lane_index(src, dst)];
-      while (!lane.try_push(std::move(pkt))) {
-        ++s.lane_stalls;
-        std::this_thread::yield();
-      }
+      slot.swap(box);  // the drained slot's buffer becomes the outbox
     }
   }
 
-  /// Deliver to dst every packet sealed in an epoch < `current`, sources
-  /// in ascending order, packets FIFO per lane.  Called by dst's task as
-  /// it begins.  The handler receives (src segment, sealed epoch, msgs).
+  /// Deliver to dst the packets sealed in epoch `current - 1`, sources in
+  /// ascending order.  Called by dst's task as it begins.  The handler
+  /// receives (src segment, msgs).
   void drain(std::uint32_t dst, std::uint64_t current,
-             const std::function<void(std::uint32_t, std::uint64_t,
-                                      std::vector<T>&)>& handler) {
+             const std::function<void(std::uint32_t, std::vector<T>&)>&
+                 handler) {
+    std::vector<std::vector<T>>& slots = sealed_[(current - 1) & 1];
     for (std::uint32_t src = 0; src < segments_; ++src) {
-      SpscQueue<Packet>& lane = *lanes_[lane_index(src, dst)];
-      Packet pkt;
-      while (lane.try_pop_if(
-          [current](const Packet& p) { return p.epoch < current; }, pkt)) {
-        ++stats_by_src_[dst].drained;
-        handler(src, pkt.epoch, pkt.msgs);
-      }
+      std::vector<T>& slot = slots[lane_index(src, dst)];
+      if (slot.empty()) continue;
+      ++stats_by_src_[dst].drained;
+      handler(src, slot);
+      slot.clear();
     }
   }
 
-  /// Whether every lane and outbox is empty.  Only meaningful between
-  /// batches (at the barrier).
+  /// Whether every packet slot and outbox is empty.  Only meaningful
+  /// between batches (at the barrier).
   [[nodiscard]] bool idle() const {
-    for (const auto& lane : lanes_) {
-      if (lane->size() != 0) return false;
-    }
-    for (const auto& box : outboxes_) {
-      if (!box.empty()) return false;
+    for (std::size_t i = 0; i < outboxes_.size(); ++i) {
+      if (!outboxes_[i].empty() || !sealed_[0][i].empty() ||
+          !sealed_[1][i].empty()) {
+        return false;
+      }
     }
     return true;
   }
@@ -127,7 +113,6 @@ class Conveyor {
       total.messages += s.messages;
       total.packets += s.packets;
       total.drained += s.drained;
-      total.lane_stalls += s.lane_stalls;
       if (s.max_packet > total.max_packet) total.max_packet = s.max_packet;
     }
     return total;
@@ -143,7 +128,8 @@ class Conveyor {
   /// Accumulators, row-owned: outboxes_[src*S+dst] is touched only by the
   /// thread running src's epoch task.
   std::vector<std::vector<T>> outboxes_;
-  std::vector<std::unique_ptr<SpscQueue<Packet>>> lanes_;
+  /// Sealed packets by epoch parity, indexed like outboxes_.
+  std::array<std::vector<std::vector<T>>, 2> sealed_;
   /// Stats sharded by segment (writer: the thread running that segment's
   /// task; drained is accounted at the destination).  Aggregated lazily.
   std::vector<ConveyorStats> stats_by_src_;

@@ -6,29 +6,20 @@
 
 #include "client/session.hpp"
 #include "replica/store.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 
 namespace idea::runtime {
 
 namespace {
 
-/// FNV-1a over a byte string (explicit, so digests never depend on the
-/// standard library's std::hash).
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 std::uint64_t read_value_digest(const client::ReadResult& r) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  std::uint64_t h = kFnv1aOffsetBasis;
   if (r.updates != nullptr) {
     for (const replica::Update& u : *r.updates) {
       h = mix64(h ^ (static_cast<std::uint64_t>(u.key.writer) << 32 ^
                      u.key.seq));
-      h = fnv1a(h, u.content);
+      h = fnv1a(u.content, h);
     }
   }
   return h;
@@ -67,8 +58,7 @@ class ShardedFleet::Segment final : public Partition {
     cluster_->transport().rebind_owner_thread();
     const SimDuration hop = fleet_.config_.runtime.hop_latency;
     fleet_.conveyor_->drain(
-        index_, epoch,
-        [&](std::uint32_t, std::uint64_t, std::vector<FleetMsg>& msgs) {
+        index_, epoch, [&](std::uint32_t, std::vector<FleetMsg>& msgs) {
           for (FleetMsg& m : msgs) {
             // Cross-segment delivery lands at a deterministic instant:
             // the modeled hop, rounded up to this epoch's edge.

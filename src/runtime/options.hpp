@@ -14,14 +14,14 @@ namespace idea::runtime {
 /// calling thread through the existing single-threaded sim::Simulator
 /// kernels — nothing is spawned, nothing is atomic-contended, and the
 /// schedule is the canonical sequential one.  `threads > 1` executes the
-/// same epoch protocol on a work-stealing WorkerPool; a fixed-seed run
-/// must produce byte-identical digests, message counts and metrics JSON
-/// in both modes (tests/runtime/ enforces it).
+/// same epoch protocol on a barrier-synchronized WorkerPool; a fixed-seed
+/// run must produce byte-identical digests, message counts and metrics
+/// JSON in both modes (tests/runtime/ enforces it).
 struct RuntimeOptions {
   /// Worker threads (the caller participates as worker 0).
   std::uint32_t threads = 1;
   /// Ring segments the endpoint space is partitioned into — the unit of
-  /// work stealing and of replica-group confinement (every group lives
+  /// scheduling and of replica-group confinement (every group lives
   /// entirely inside one segment, so endpoint-local state never needs
   /// locks).  0 derives max(threads, 1).  Note results depend on the
   /// segment count (it shapes the ring) but never on `threads`.

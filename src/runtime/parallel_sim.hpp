@@ -14,8 +14,9 @@
 ///
 /// The pool's barrier brackets each epoch on both sides; a partition's
 /// state is touched by exactly one thread per epoch (whichever worker ran
-/// its task — stealing migrates partitions between workers only across
-/// barriers).
+/// its task — a partition changes workers only across barriers).  Every
+/// partition's begin_epoch runs in every batch, which is the cadence the
+/// Conveyor's two-slot lanes rely on.
 
 #include <cstdint>
 #include <vector>

@@ -1,15 +1,9 @@
 #include "runtime/worker_pool.hpp"
 
-#include <cassert>
-
 namespace idea::runtime {
 
 WorkerPool::WorkerPool(std::uint32_t threads)
-    : threads_(threads == 0 ? 1 : threads) {
-  deques_.reserve(threads_);
-  for (std::uint32_t w = 0; w < threads_; ++w) {
-    deques_.push_back(std::make_unique<WorkStealingDeque>(256));
-  }
+    : threads_(threads == 0 ? 1 : threads), cursors_(threads_) {
   spawned_.reserve(threads_ - 1);
   for (std::uint32_t w = 1; w < threads_; ++w) {
     spawned_.emplace_back([this, w] { worker_loop(w); });
@@ -38,33 +32,17 @@ void WorkerPool::run_tasks(std::uint32_t task_count, const TaskBody& body) {
     return;
   }
 
-  // Grow deques when a batch could overflow them.  All workers are parked
-  // and the pushes below happen-before they wake (via mu_), so replacing
-  // the deques here is race-free.
-  const std::size_t per_worker = task_count / threads_ + 2;
-  if (per_worker > deque_capacity_) {
-    deque_capacity_ = per_worker;
-    for (auto& d : deques_) {
-      d = std::make_unique<WorkStealingDeque>(deque_capacity_);
-    }
-  }
-
-  // Seed: task i goes to deque i % threads.  LIFO pops mean worker w runs
-  // its own tasks in descending order; cross-task order is unspecified by
-  // contract, so the distribution only matters for balance.
-  for (std::uint32_t t = 0; t < task_count; ++t) {
-    deques_[t % threads_]->push(t);
-  }
-
   {
     // Wait until every spawned worker is parked: always true between
     // batches (the tail wait below), but freshly spawned workers may not
-    // have reached their first park yet.
+    // have reached their first park yet.  The resets below then
+    // happen-before every worker's wake-up (via mu_).
     std::unique_lock lock(mu_);
     cv_done_.wait(lock, [this] { return parked_ == threads_ - 1; });
+    for (Cursor& c : cursors_) c.next.store(0, std::memory_order_relaxed);
+    done_.store(0, std::memory_order_relaxed);
     body_ = &body;
-    remaining_.store(static_cast<std::int64_t>(task_count),
-                     std::memory_order_release);
+    task_count_ = task_count;
     ++generation_;
     parked_ = 0;
   }
@@ -73,7 +51,7 @@ void WorkerPool::run_tasks(std::uint32_t task_count, const TaskBody& body) {
   work(0);  // the caller is worker 0
 
   // Wait for every spawned worker to park again: after this, no thread
-  // touches the deques or `body` until the next batch.
+  // touches the cursors or `body` until the next batch.
   std::unique_lock lock(mu_);
   cv_done_.wait(lock, [this] { return parked_ == threads_ - 1; });
   body_ = nullptr;
@@ -99,15 +77,18 @@ void WorkerPool::worker_loop(std::uint32_t worker) {
 void WorkerPool::work(std::uint32_t worker) {
   const TaskBody& body = *body_;
   std::uint64_t steals = 0;
-  while (true) {
-    const std::uint32_t task = find_task(worker, &steals);
-    if (task == WorkStealingDeque::kEmpty) {
-      if (remaining_.load(std::memory_order_acquire) == 0) break;
-      std::this_thread::yield();  // tasks in flight elsewhere
-      continue;
+  for (std::uint32_t i = 0; i < threads_; ++i) {
+    const std::uint32_t home = (worker + i) % threads_;
+    for (std::uint32_t task = claim(home); task != kNone; task = claim(home)) {
+      body(task, worker);
+      if (home != worker) ++steals;
+      done_.fetch_add(1, std::memory_order_release);
     }
-    body(task, worker);
-    remaining_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  // Every task is claimed; spin (rather than park) until those still
+  // running elsewhere finish, so the whole pool parks together.
+  while (done_.load(std::memory_order_acquire) != task_count_) {
+    std::this_thread::yield();
   }
   if (steals > 0) {
     std::lock_guard lock(mu_);
@@ -115,19 +96,12 @@ void WorkerPool::work(std::uint32_t worker) {
   }
 }
 
-std::uint32_t WorkerPool::find_task(std::uint32_t worker,
-                                    std::uint64_t* steals) {
-  const std::uint32_t own = deques_[worker]->pop();
-  if (own != WorkStealingDeque::kEmpty) return own;
-  for (std::uint32_t i = 1; i < threads_; ++i) {
-    const std::uint32_t victim = (worker + i) % threads_;
-    const std::uint32_t stolen = deques_[victim]->steal();
-    if (stolen != WorkStealingDeque::kEmpty) {
-      ++*steals;
-      return stolen;
-    }
-  }
-  return WorkStealingDeque::kEmpty;
+std::uint32_t WorkerPool::claim(std::uint32_t home) {
+  const std::uint32_t homed =
+      home < task_count_ ? (task_count_ - home - 1) / threads_ + 1 : 0;
+  const std::uint32_t i =
+      cursors_[home].next.fetch_add(1, std::memory_order_relaxed);
+  return i < homed ? home + (homed - 1 - i) * threads_ : kNone;
 }
 
 }  // namespace idea::runtime

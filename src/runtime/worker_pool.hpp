@@ -1,15 +1,17 @@
 #pragma once
 /// \file worker_pool.hpp
-/// \brief Fixed pool of worker threads with per-worker work-stealing
-///        deques, driven in barrier-synchronized batches.
+/// \brief Fixed pool of worker threads driven in barrier-synchronized
+///        batches.
 ///
-/// The pool executes *batches*: run_tasks(N, body) distributes task ids
-/// 0..N-1 round-robin across the workers' deques, wakes every thread, and
+/// The pool executes *batches*: run_tasks(N, body) wakes every thread and
 /// returns only when all N tasks ran and every worker parked again — a
 /// full barrier on both sides, so the caller may mutate shared state
-/// between batches without fences of its own.  Within a batch, a worker
-/// drains its own deque LIFO and steals FIFO from the others when dry, so
-/// unevenly sized tasks (hot segments) load-balance automatically.
+/// between batches without fences of its own.  Task t's home is worker
+/// t % threads.  Within a batch, a worker claims its home tasks through
+/// its own cursor (highest index first), then claims from the other
+/// workers' cursors until all are dry, so unevenly sized tasks (hot
+/// segments) still balance.  The task set of a batch is fixed, so a
+/// claim is one fetch_add and needs no deque.
 ///
 /// The calling thread participates as worker 0; a pool built with
 /// `threads == 1` spawns nothing and runs every task inline in ascending
@@ -19,22 +21,21 @@
 /// Tasks must be independent: the pool guarantees nothing about cross-task
 /// ordering within a batch beyond "all complete before run_tasks returns".
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "runtime/work_stealing.hpp"
 
 namespace idea::runtime {
 
 struct WorkerPoolStats {
   std::uint64_t batches = 0;    ///< run_tasks calls.
   std::uint64_t tasks_run = 0;  ///< Tasks executed across all batches.
-  std::uint64_t steals = 0;     ///< Tasks obtained from another deque.
+  /// Tasks run by a worker other than their home worker (task % threads).
+  std::uint64_t steals = 0;
 };
 
 class WorkerPool {
@@ -58,24 +59,32 @@ class WorkerPool {
   [[nodiscard]] const WorkerPoolStats& stats() const { return stats_; }
 
  private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// Claim counter over one worker's home tasks, on its own cache line.
+  struct alignas(64) Cursor {
+    std::atomic<std::uint32_t> next{0};
+  };
+
   void worker_loop(std::uint32_t worker);
-  /// Drain deques (own first, then steal) until the batch completes.
+  /// Claim and run tasks (home first, then the others') until none is
+  /// left, then wait for the batch to complete.
   void work(std::uint32_t worker);
-  /// Own pop, then round-robin steal.  kEmpty when nothing is runnable.
-  std::uint32_t find_task(std::uint32_t worker, std::uint64_t* steals);
+  /// Next unclaimed task homed at `home`, highest first; kNone when dry.
+  std::uint32_t claim(std::uint32_t home);
 
   const std::uint32_t threads_;
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
-  std::size_t deque_capacity_ = 256;  ///< Current per-deque capacity.
+  std::vector<Cursor> cursors_;  ///< One per worker; reset per batch.
 
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;   ///< Bumped per batch (guarded by mu_).
-  const TaskBody* body_ = nullptr; ///< Current batch body (guarded by mu_).
-  std::uint32_t parked_ = 0;       ///< Spawned workers waiting (guarded).
+  std::uint64_t generation_ = 0;    ///< Bumped per batch (guarded by mu_).
+  const TaskBody* body_ = nullptr;  ///< Current batch body (guarded by mu_).
+  std::uint32_t task_count_ = 0;    ///< Current batch size (guarded by mu_).
+  std::uint32_t parked_ = 0;        ///< Spawned workers waiting (guarded).
   bool shutdown_ = false;
-  std::atomic<std::int64_t> remaining_{0};  ///< Tasks not yet completed.
+  std::atomic<std::uint32_t> done_{0};  ///< Tasks of the batch completed.
 
   WorkerPoolStats stats_;
   std::vector<std::thread> spawned_;  ///< Workers 1..threads_-1.

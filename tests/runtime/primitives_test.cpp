@@ -1,13 +1,13 @@
 /// \file primitives_test.cpp
-/// \brief Units for the parallel-runtime building blocks: the SPSC lane,
-///        the Chase-Lev deque, the worker pool, the conveyor, and the
-///        epoch-barrier driver.  The concurrent cases double as TSan
-///        targets (the sanitize CI job runs this binary under
-///        -fsanitize=thread).
+/// \brief Units for the parallel-runtime building blocks: the worker pool,
+///        the conveyor, and the epoch-barrier driver.  The concurrent
+///        cases double as TSan targets (the sanitize CI job runs this
+///        binary under -fsanitize=thread).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -15,121 +15,10 @@
 
 #include "runtime/conveyor.hpp"
 #include "runtime/parallel_sim.hpp"
-#include "runtime/spsc_queue.hpp"
-#include "runtime/work_stealing.hpp"
 #include "runtime/worker_pool.hpp"
 
 namespace idea::runtime {
 namespace {
-
-TEST(SpscQueue, FifoWithinCapacity) {
-  SpscQueue<int> q(8);
-  EXPECT_GE(q.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(int{i}));
-  EXPECT_FALSE(q.try_push(99));  // full
-  int v = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.try_pop(v));  // empty
-}
-
-TEST(SpscQueue, PopIfIsAPrefixFilter) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(int{i}));
-  int v = -1;
-  // Predicate admits values < 3: pops exactly the qualifying prefix.
-  auto lt3 = [](const int& x) { return x < 3; };
-  EXPECT_TRUE(q.try_pop_if(lt3, v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(q.try_pop_if(lt3, v));
-  EXPECT_TRUE(q.try_pop_if(lt3, v));
-  EXPECT_FALSE(q.try_pop_if(lt3, v));  // head is 3: stays queued
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(SpscQueue, ConcurrentProducerConsumer) {
-  constexpr std::uint32_t kItems = 200000;
-  SpscQueue<std::uint32_t> q(1024);
-  std::atomic<std::uint64_t> sum{0};
-  std::thread consumer([&] {
-    std::uint64_t local = 0;
-    std::uint32_t got = 0, v = 0;
-    while (got < kItems) {
-      if (q.try_pop(v)) {
-        local += v;
-        ++got;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    sum.store(local, std::memory_order_relaxed);
-  });
-  for (std::uint32_t i = 1; i <= kItems; ++i) {
-    while (!q.try_push(std::uint32_t{i})) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(sum.load(), std::uint64_t{kItems} * (kItems + 1) / 2);
-}
-
-TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
-  WorkStealingDeque d(16);
-  d.push(1);
-  d.push(2);
-  d.push(3);
-  EXPECT_EQ(d.steal(), 1u);  // thief takes the oldest
-  EXPECT_EQ(d.pop(), 3u);    // owner takes the newest
-  EXPECT_EQ(d.pop(), 2u);
-  EXPECT_EQ(d.pop(), WorkStealingDeque::kEmpty);
-  EXPECT_EQ(d.steal(), WorkStealingDeque::kEmpty);
-}
-
-TEST(WorkStealingDeque, EveryTaskClaimedExactlyOnceUnderContention) {
-  constexpr std::uint32_t kTasks = 100000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque d(1 << 17);
-  std::vector<std::atomic<std::uint32_t>> claimed(kTasks);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        const std::uint32_t task = d.steal();
-        if (task != WorkStealingDeque::kEmpty) {
-          claimed[task].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      // Final sweep after the owner finished.
-      for (;;) {
-        const std::uint32_t task = d.steal();
-        if (task == WorkStealingDeque::kEmpty) break;
-        claimed[task].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  // Owner interleaves pushes and pops, racing the thieves.
-  for (std::uint32_t i = 0; i < kTasks; ++i) {
-    d.push(i);
-    if ((i & 7) == 7) {
-      const std::uint32_t task = d.pop();
-      if (task != WorkStealingDeque::kEmpty) {
-        claimed[task].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  for (;;) {
-    const std::uint32_t task = d.pop();
-    if (task == WorkStealingDeque::kEmpty) break;
-    claimed[task].fetch_add(1, std::memory_order_relaxed);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-  for (std::uint32_t i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(claimed[i].load(), 1u) << "task " << i;
-  }
-}
 
 TEST(WorkerPool, SingleThreadRunsTasksInAscendingOrder) {
   WorkerPool pool(1);
@@ -170,6 +59,48 @@ TEST(WorkerPool, BarrierMakesSideEffectsVisibleToCaller) {
   for (std::uint32_t i = 0; i < 256; ++i) ASSERT_EQ(cell[i], i);
 }
 
+TEST(WorkerPool, UnevenBatchesRunEachTaskExactlyOnce) {
+  // Fewer tasks than threads (2) and a count that leaves the home slices
+  // unequal (7 = 2+2+2+1): idle workers must claim nothing twice.
+  WorkerPool pool(4);
+  std::uint64_t expected_tasks = 0;
+  for (int batch = 0; batch < 400; ++batch) {
+    const std::uint32_t n = batch % 2 == 0 ? 7 : 2;
+    std::vector<std::atomic<std::uint32_t>> ran(n);
+    pool.run_tasks(n, [&](std::uint32_t task, std::uint32_t) {
+      ran[task].fetch_add(1, std::memory_order_relaxed);
+    });
+    expected_tasks += n;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(ran[i].load(), 1u) << "batch " << batch << " task " << i;
+    }
+  }
+  EXPECT_EQ(pool.stats().tasks_run, expected_tasks);
+}
+
+TEST(WorkerPool, StealsCountTasksRunOffTheirHomeWorker) {
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    WorkerPool pool(threads);
+    std::uint64_t off_home = 0;
+    for (int batch = 0; batch < 50; ++batch) {
+      constexpr std::uint32_t kTasks = 8;
+      std::vector<std::uint32_t> ran_on(kTasks, UINT32_MAX);
+      pool.run_tasks(kTasks, [&](std::uint32_t task, std::uint32_t worker) {
+        // Worker 0's home tasks are slow, so the others run some of them.
+        if (task % threads == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        ran_on[task] = worker;
+      });
+      for (std::uint32_t t = 0; t < kTasks; ++t) {
+        if (ran_on[t] != t % threads) ++off_home;
+      }
+    }
+    EXPECT_EQ(pool.stats().steals, off_home) << "threads " << threads;
+    if (threads == 1) EXPECT_EQ(pool.stats().steals, 0u);
+  }
+}
+
 TEST(Conveyor, SealedPacketsVisibleOnlyToLaterEpochs) {
   Conveyor<int> c(2);
   c.post(0, 1, 7);
@@ -177,15 +108,12 @@ TEST(Conveyor, SealedPacketsVisibleOnlyToLaterEpochs) {
   c.seal(0, /*epoch=*/0);
   int drained = 0;
   // Same epoch: not yet visible (the edge is the flush instant).
-  c.drain(1, /*current=*/0, [&](std::uint32_t, std::uint64_t,
-                                std::vector<int>& msgs) {
+  c.drain(1, /*current=*/0, [&](std::uint32_t, std::vector<int>& msgs) {
     drained += static_cast<int>(msgs.size());
   });
   EXPECT_EQ(drained, 0);
-  c.drain(1, /*current=*/1, [&](std::uint32_t src, std::uint64_t epoch,
-                                std::vector<int>& msgs) {
+  c.drain(1, /*current=*/1, [&](std::uint32_t src, std::vector<int>& msgs) {
     EXPECT_EQ(src, 0u);
-    EXPECT_EQ(epoch, 0u);
     ASSERT_EQ(msgs.size(), 2u);
     EXPECT_EQ(msgs[0], 7);  // post order preserved
     EXPECT_EQ(msgs[1], 8);
@@ -199,20 +127,26 @@ TEST(Conveyor, SealedPacketsVisibleOnlyToLaterEpochs) {
 }
 
 TEST(Conveyor, DrainsSourcesAscendingAndLanesFifo) {
+  // One packet per lane per epoch: every destination drains every epoch.
   Conveyor<int> c(3);
-  c.post(2, 0, 20);
-  c.seal(2, 0);
-  c.post(1, 0, 10);
-  c.seal(1, 1);
-  c.post(1, 0, 11);
-  c.seal(1, 2);
   std::vector<int> seen;
-  c.drain(0, /*current=*/3,
-          [&](std::uint32_t, std::uint64_t, std::vector<int>& msgs) {
-            for (int m : msgs) seen.push_back(m);
-          });
-  // Source 1 before source 2 (ascending), packets FIFO within the lane.
-  EXPECT_EQ(seen, (std::vector<int>{10, 11, 20}));
+  const auto collect = [&](std::uint32_t, std::vector<int>& msgs) {
+    for (int m : msgs) seen.push_back(m);
+  };
+  for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
+    for (std::uint32_t dst = 0; dst < 3; ++dst) c.drain(dst, epoch, collect);
+    const int base = 100 * static_cast<int>(epoch);
+    c.post(2, 0, base + 20);
+    c.seal(2, epoch);
+    c.post(1, 0, base + 10);
+    c.post(1, 0, base + 11);
+    c.seal(1, epoch);
+  }
+  c.drain(0, 2, collect);
+  // Per epoch: source 1 before source 2 (ascending), post order within
+  // a packet; epochs arrive in order.
+  EXPECT_EQ(seen, (std::vector<int>{10, 11, 20, 110, 111, 120}));
+  EXPECT_TRUE(c.idle());
 }
 
 /// Toy partition: counts epochs and posts one message per epoch to its
@@ -225,7 +159,7 @@ class CountingPartition final : public Partition {
 
   void begin_epoch(SimTime, std::uint64_t epoch) override {
     conveyor_.drain(self_, epoch,
-                    [&](std::uint32_t, std::uint64_t, std::vector<std::uint64_t>& m) {
+                    [&](std::uint32_t, std::vector<std::uint64_t>& m) {
                       for (std::uint64_t v : m) received_ += v;
                     });
   }
