@@ -4,7 +4,7 @@
 ///
 /// Every future PR is measured against this bench: it emits
 /// BENCH_hotpath.json so the perf trajectory accumulates per PR (the CI
-/// Release job uploads the file as an artifact).  Five sections:
+/// Release job uploads the file as an artifact).  Six sections:
 ///
 ///   1. sim_events  — schedule/cancel/periodic churn through the Simulator.
 ///   2. transport   — SimTransport message storm with realistic EVV payloads
@@ -21,24 +21,37 @@
 ///                    view, updates_ahead_of and staleness_ahead_of for a
 ///                    peer four updates behind.  Each should stay flat as
 ///                    the log grows.
+///   6. protocol    — IDEA's per-file primitives: one top-layer detection
+///                    round on the paper's warm 40-node deployment, the
+///                    extended-VV triple at 8, 64 and 512 updates per
+///                    writer, and the consistency formula.
 ///
 ///   $ ./hotpath [--smoke] [--json BENCH_hotpath.json]
 ///               [--endpoints 32] [--files 2000] [--sim-secs 10]
+///
+/// Every section runs three times (once with --smoke); the JSON
+/// reports each metric's median, its [min, max] under "spread", the rep
+/// count and the machine's hardware thread count.  The macro's message
+/// counts and digest must agree across reps (non-zero exit otherwise).
 ///
 /// The kBaseline* constants are the numbers this bench printed at the
 /// pre-refactor seed (PR 1, string message types + std::any payloads +
 /// unpooled simulator) on the reference build machine; speedups in the
 /// JSON are relative to them.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <iterator>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/kvstore.hpp"
 #include "bench/common.hpp"
+#include "core/formula.hpp"
 #include "net/batching_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "replica/store.hpp"
@@ -432,46 +445,155 @@ StoreRow bench_store(std::size_t len, double budget_s) {
   return row;
 }
 
+// ---------------------------------------------------------------------------
+// 6. Protocol primitives: detection round, extended-VV triple, formula.
+// ---------------------------------------------------------------------------
+constexpr std::size_t kTripleUpdatesPerWriter[] = {8, 64, 512};
+
+struct ProtocolResult {
+  double detection_round_us = 0.0;  ///< Probe until the callback fires.
+  double events_per_round = 0.0;    ///< Sim events stepped per round.
+  double peers_per_round = 0.0;     ///< Top-layer peers probed per round.
+  std::vector<double> triple_ns;    ///< By kTripleUpdatesPerWriter.
+  double formula_ns = 0.0;
+};
+
+/// An extended VV of four writers, each with `updates` stamped updates.
+vv::ExtendedVersionVector make_writer_evv(std::size_t updates,
+                                          std::uint64_t seed) {
+  vv::ExtendedVersionVector e;
+  Rng rng(seed);
+  for (NodeId w = 0; w < 4; ++w) {
+    SimTime t = 0;
+    for (std::size_t u = 0; u < updates; ++u) {
+      t += static_cast<SimTime>(rng.next_below(1'000'000));
+      e.record_update(w, t, rng.uniform01() * 100);
+    }
+  }
+  return e;
+}
+
+ProtocolResult bench_protocol(std::uint64_t rounds, double budget_s) {
+  ProtocolResult r;
+  double sink = 0.0;
+
+  // Node 3 probes its top layer on the paper deployment after the §6
+  // writers warmed it; each round steps the simulator until the
+  // detection callback fires (periodic background work included).  The
+  // writers cool off as sim time passes, so an untimed warm-up precedes
+  // every block of rounds to keep them in the top layer.
+  constexpr std::uint64_t kRoundsPerWarmUp = 100;
+  core::IdeaCluster cluster(paper_cluster(2007));
+  cluster.start();
+  std::uint64_t events = 0;
+  std::uint64_t peers = 0;
+  double timed_s = 0.0;
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    if (i % kRoundsPerWarmUp == 0) cluster.warm_up(kWriters, sec(25));
+    bool done = false;
+    const std::uint64_t before = cluster.sim().events_processed();
+    const auto start = WallClock::now();
+    cluster.node(kWriters.front())
+        .probe([&](const detect::DetectionResult& res) {
+          done = true;
+          peers += res.peers_probed;
+        });
+    while (!done) cluster.sim().step();
+    timed_s += secs_since(start);
+    events += cluster.sim().events_processed() - before;
+  }
+  r.detection_round_us = timed_s * 1e6 / static_cast<double>(rounds);
+  r.events_per_round =
+      static_cast<double>(events) / static_cast<double>(rounds);
+  r.peers_per_round = static_cast<double>(peers) / static_cast<double>(rounds);
+
+  for (const std::size_t updates : kTripleUpdatesPerWriter) {
+    const vv::ExtendedVersionVector a = make_writer_evv(updates, 3);
+    const vv::ExtendedVersionVector b = make_writer_evv(updates, 4);
+    r.triple_ns.push_back(ns_per_op(
+        budget_s, 1024,
+        [&](std::uint64_t) { sink += a.triple_against(b).order_error; },
+        [] {}));
+  }
+
+  // The inputs vary per call so the formula cannot be hoisted out of the
+  // timed loop.
+  const vv::TripleWeights weights{0.4, 0.3, 0.3};
+  const vv::TripleMaxima maxima{10, 10, 10};
+  r.formula_ns = ns_per_op(
+      budget_s, 4096,
+      [&](std::uint64_t i) {
+        const vv::TactTriple t{3.2 + static_cast<double>(i & 7), 1.5, 7.9};
+        sink += core::consistency_level(t, weights, maxima);
+      },
+      [] {});
+
+  std::printf("protocol: detection round %.1f us (%.0f events, %.1f peers)  "
+              "triple %.0f/%.0f/%.0f ns  formula %.1f ns (checksum %.0f)\n",
+              r.detection_round_us, r.events_per_round, r.peers_per_round,
+              r.triple_ns[0], r.triple_ns[1], r.triple_ns[2], r.formula_ns,
+              sink);
+  return r;
+}
+
 double speedup_vs(double now, double baseline) {
   return baseline > 0.0 ? now / baseline : 0.0;
 }
 
-void write_json(const std::string& path, bool smoke,
-                const SimEventsResult& se, const TransportResult& tr,
-                const TransportResult& trb, const VvResult& vvr,
-                const MacroResult& mc, const std::vector<StoreRow>& store) {
+/// Each rep's value of every timed metric, keyed by its JSON path.
+using Samples = std::map<std::string, std::vector<double>>;
+
+void write_json(const std::string& path, bool smoke, std::int64_t reps,
+                const MacroResult& mc, const ProtocolResult& pr,
+                const Samples& samples) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
+  const auto med = [&](const std::string& name) {
+    return median(samples.at(name));
+  };
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"hotpath\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+  std::fprintf(f, "  \"reps\": %lld,\n", static_cast<long long>(reps));
+  std::fprintf(f, "  \"hardware_cores\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"metrics\": {\n");
-  std::fprintf(f, "    \"sim_events_per_sec\": %.0f,\n", se.ops_per_sec);
-  std::fprintf(f, "    \"transport_msgs_per_sec\": %.0f,\n", tr.msgs_per_sec);
+  std::fprintf(f, "    \"sim_events_per_sec\": %.0f,\n",
+               med("sim_events_per_sec"));
+  std::fprintf(f, "    \"transport_msgs_per_sec\": %.0f,\n",
+               med("transport_msgs_per_sec"));
   std::fprintf(f, "    \"batched_transport_msgs_per_sec\": %.0f,\n",
-               trb.msgs_per_sec);
-  std::fprintf(f, "    \"vv_merge_ops_per_sec\": %.0f,\n", vvr.ops_per_sec);
+               med("batched_transport_msgs_per_sec"));
+  std::fprintf(f, "    \"vv_merge_ops_per_sec\": %.0f,\n",
+               med("vv_merge_ops_per_sec"));
   std::fprintf(f, "    \"macro\": {\n");
   std::fprintf(f, "      \"endpoints\": %u,\n", mc.endpoints);
   std::fprintf(f, "      \"files\": %u,\n", mc.files);
   std::fprintf(f, "      \"sim_secs\": %.1f,\n", mc.sim_secs);
-  std::fprintf(f, "      \"wall_ms\": %.1f,\n", mc.wall_ms);
+  std::fprintf(f, "      \"wall_ms\": %.1f,\n", med("macro.wall_ms"));
   std::fprintf(f, "      \"puts_applied\": %" PRIu64 ",\n", mc.puts_applied);
   std::fprintf(f, "      \"logical_messages\": %" PRIu64 ",\n",
                mc.logical_messages);
   std::fprintf(f, "      \"wire_messages\": %" PRIu64 ",\n",
                mc.wire_messages);
   std::fprintf(f, "      \"msgs_per_wall_sec\": %.0f,\n",
-               mc.msgs_per_wall_sec);
+               med("macro.msgs_per_wall_sec"));
   std::fprintf(f, "      \"converged_pct\": %.1f,\n", mc.converged_pct);
   std::fprintf(f, "      \"content_digest_xor\": \"%016" PRIx64 "\"\n",
                mc.digest_xor);
   std::fprintf(f, "    },\n");
   // ns per op by log length; `growth_*` is cost at the longest log over
   // cost at the shortest (1.0 = flat).
+  std::vector<StoreRow> store;
+  for (const std::size_t len : kStoreLogLengths) {
+    const std::string row = "store." + std::to_string(len) + ".";
+    store.push_back(StoreRow{len, med(row + "read_after_write"),
+                             med(row + "updates_ahead_of"),
+                             med(row + "staleness_ahead_of")});
+  }
   std::fprintf(f, "    \"store\": {\n");
   std::fprintf(f, "      \"unit\": \"ns_per_op\",\n");
   std::fprintf(f, "      \"rows\": [\n");
@@ -493,7 +615,30 @@ void write_json(const std::string& path, bool smoke,
                longest.updates_ahead_ns / shortest.updates_ahead_ns);
   std::fprintf(f, "      \"growth_staleness_ahead_of\": %.2f\n",
                longest.staleness_ns / shortest.staleness_ns);
+  std::fprintf(f, "    },\n");
+  std::fprintf(f, "    \"protocol\": {\n");
+  std::fprintf(f, "      \"detection_round_us\": %.1f,\n",
+               med("protocol.detection_round_us"));
+  std::fprintf(f, "      \"detection_events_per_round\": %.1f,\n",
+               pr.events_per_round);
+  std::fprintf(f, "      \"detection_peers_per_round\": %.1f,\n",
+               pr.peers_per_round);
+  for (const std::size_t updates : kTripleUpdatesPerWriter) {
+    const std::string name = "triple_ns_" + std::to_string(updates);
+    std::fprintf(f, "      \"%s\": %.1f,\n", name.c_str(),
+                 med("protocol." + name));
+  }
+  std::fprintf(f, "      \"formula_ns\": %.2f\n", med("protocol.formula_ns"));
   std::fprintf(f, "    }\n");
+  std::fprintf(f, "  },\n");
+  // [min, max] of every timed metric over the reps.
+  std::fprintf(f, "  \"spread\": {\n");
+  for (auto it = samples.begin(); it != samples.end(); ++it) {
+    const auto [lo, hi] =
+        std::minmax_element(it->second.begin(), it->second.end());
+    std::fprintf(f, "    \"%s\": [%.2f, %.2f]%s\n", it->first.c_str(), *lo,
+                 *hi, std::next(it) != samples.end() ? "," : "");
+  }
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"baseline_pre_refactor\": {\n");
   std::fprintf(f, "    \"sim_events_per_sec\": %.0f,\n", kBaselineSimEvents);
@@ -521,15 +666,18 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"speedup\": {\n");
   std::fprintf(f, "    \"sim_events\": %.2f,\n",
-               speedup_vs(se.ops_per_sec, kBaselineSimEvents));
+               speedup_vs(med("sim_events_per_sec"), kBaselineSimEvents));
   std::fprintf(f, "    \"transport\": %.2f,\n",
-               speedup_vs(tr.msgs_per_sec, kBaselineTransportMsgs));
+               speedup_vs(med("transport_msgs_per_sec"),
+                          kBaselineTransportMsgs));
   std::fprintf(f, "    \"batched_transport\": %.2f,\n",
-               speedup_vs(trb.msgs_per_sec, kBaselineBatchedTransportMsgs));
+               speedup_vs(med("batched_transport_msgs_per_sec"),
+                          kBaselineBatchedTransportMsgs));
   std::fprintf(f, "    \"vv_merge\": %.2f,\n",
-               speedup_vs(vvr.ops_per_sec, kBaselineVvMerges));
+               speedup_vs(med("vv_merge_ops_per_sec"), kBaselineVvMerges));
   std::fprintf(f, "    \"macro\": %.2f\n",
-               speedup_vs(mc.msgs_per_wall_sec, kBaselineMacroMsgsPerWallSec));
+               speedup_vs(med("macro.msgs_per_wall_sec"),
+                          kBaselineMacroMsgsPerWallSec));
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -546,7 +694,8 @@ int main(int argc, char** argv) {
   const bool smoke = flags.get_bool("smoke", false);
 
   print_header(
-      "Hot path: kernel, transport, version vectors, macro run, store");
+      "Hot path: kernel, transport, version vectors, macro run, store, "
+      "protocol");
 
   const std::uint64_t n_events = smoke ? 200'000 : 2'000'000;
   const std::uint64_t n_flows = smoke ? 2'000 : 20'000;
@@ -558,20 +707,56 @@ int main(int argc, char** argv) {
   const SimDuration sim_secs =
       sec_f(flags.get_double("sim-secs", smoke ? 3.0 : 10.0));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
+  const std::int64_t reps = smoke ? 1 : 3;
+  const double budget_s = smoke ? 0.02 : 0.3;
 
-  const SimEventsResult se = bench_sim_events(n_events);
-  const TransportResult tr =
-      bench_transport(n_flows, hops, false, endpoints, files);
-  const TransportResult trb =
-      bench_transport(n_flows, hops, true, endpoints, files);
-  const VvResult vvr = bench_vv(n_vv);
-  const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
-  std::vector<StoreRow> store;
-  for (const std::size_t len : kStoreLogLengths) {
-    store.push_back(bench_store(len, smoke ? 0.02 : 0.3));
+  Samples samples;
+  MacroResult macro;
+  ProtocolResult protocol;
+  for (std::int64_t rep = 0; rep < reps; ++rep) {
+    std::printf("-- rep %lld of %lld\n", static_cast<long long>(rep + 1),
+                static_cast<long long>(reps));
+    samples["sim_events_per_sec"].push_back(
+        bench_sim_events(n_events).ops_per_sec);
+    samples["transport_msgs_per_sec"].push_back(
+        bench_transport(n_flows, hops, false, endpoints, files).msgs_per_sec);
+    samples["batched_transport_msgs_per_sec"].push_back(
+        bench_transport(n_flows, hops, true, endpoints, files).msgs_per_sec);
+    samples["vv_merge_ops_per_sec"].push_back(bench_vv(n_vv).ops_per_sec);
+
+    const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
+    if (rep == 0) {
+      macro = mc;
+    } else if (mc.digest_xor != macro.digest_xor ||
+               mc.logical_messages != macro.logical_messages ||
+               mc.wire_messages != macro.wire_messages) {
+      std::fprintf(stderr, "macro reps disagree: the run is not "
+                           "deterministic\n");
+      return 1;
+    }
+    samples["macro.wall_ms"].push_back(mc.wall_ms);
+    samples["macro.msgs_per_wall_sec"].push_back(mc.msgs_per_wall_sec);
+
+    for (const std::size_t len : kStoreLogLengths) {
+      const StoreRow row = bench_store(len, budget_s);
+      const std::string key = "store." + std::to_string(len) + ".";
+      samples[key + "read_after_write"].push_back(row.read_after_write_ns);
+      samples[key + "updates_ahead_of"].push_back(row.updates_ahead_ns);
+      samples[key + "staleness_ahead_of"].push_back(row.staleness_ns);
+    }
+
+    const ProtocolResult pr = bench_protocol(smoke ? 200 : 2'000, budget_s);
+    if (rep == 0) protocol = pr;
+    samples["protocol.detection_round_us"].push_back(pr.detection_round_us);
+    for (std::size_t i = 0; i < pr.triple_ns.size(); ++i) {
+      samples["protocol.triple_ns_" +
+              std::to_string(kTripleUpdatesPerWriter[i])]
+          .push_back(pr.triple_ns[i]);
+    }
+    samples["protocol.formula_ns"].push_back(pr.formula_ns);
   }
 
-  write_json(flags.get_string("json", "BENCH_hotpath.json"), smoke, se, tr,
-             trb, vvr, mc, store);
+  write_json(flags.get_string("json", "BENCH_hotpath.json"), smoke, reps,
+             macro, protocol, samples);
   return 0;
 }

@@ -216,12 +216,12 @@ LevelResult run_level(const Setup& s, const Cell& cell) {
       reg.counter(obs::MetricId::intern("session.read.stale"));
   result.escalations =
       reg.counter(obs::MetricId::intern("session.read.escalated"));
-  // Write side: under w = 1 the ack is a one-way distance estimate; under
-  // w > 1 it is the measured replication round trip to the ack quorum.
+  // Write side: one histogram for every w.  Under w = 1 the ack is a
+  // round-trip estimate to the coordinator; under w > 1 it is the
+  // measured replication round trip to the ack quorum.
   result.writes = reg.counter(obs::MetricId::intern("session.puts"));
-  const obs::Histogram* wlat = reg.histogram(obs::MetricId::intern(
-      cell.concern.w == 1 ? "session.put.latency_us"
-                          : "session.put.wack_latency_us"));
+  const obs::Histogram* wlat =
+      reg.histogram(obs::MetricId::intern("session.put.latency_us"));
   if (wlat != nullptr) {
     result.mean_write_latency_ms = wlat->mean() / 1000.0;
     result.p95_write_latency_ms = wlat->quantile(0.95) / 1000.0;

@@ -1,7 +1,6 @@
 #include "apps/kvstore.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "util/digest.hpp"
@@ -63,26 +62,11 @@ std::optional<std::string> KvStore::get(const std::string& key) {
 
 KvWorkload::KvWorkload(KvStore& store, sim::Simulator& sim,
                        KvWorkloadParams params, std::uint64_t seed)
-    : store_(store), sim_(sim), params_(params), rng_(seed) {
-  if (params_.zipf_s > 0.0 && params_.keyspace > 0) {
-    zipf_cdf_.reserve(params_.keyspace);
-    double total = 0.0;
-    for (std::uint32_t rank = 1; rank <= params_.keyspace; ++rank) {
-      total += 1.0 / std::pow(static_cast<double>(rank), params_.zipf_s);
-      zipf_cdf_.push_back(total);
-    }
-    for (double& c : zipf_cdf_) c /= total;
-  }
-}
-
-std::uint32_t KvWorkload::sample_key() {
-  if (zipf_cdf_.empty()) {
-    return static_cast<std::uint32_t>(rng_.next_below(params_.keyspace));
-  }
-  const double u = rng_.uniform01();
-  const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  return static_cast<std::uint32_t>(it - zipf_cdf_.begin());
-}
+    : store_(store),
+      sim_(sim),
+      params_(params),
+      rng_(seed),
+      keys_(params.keyspace, params.zipf_s) {}
 
 void KvWorkload::start() {
   end_time_ = sim_.now() + params_.duration;
@@ -98,7 +82,7 @@ void KvWorkload::schedule_client(std::uint32_t client,
                                  std::uint64_t op_index, SimTime when) {
   if (when > end_time_) return;
   sim_.schedule_at(when, [this, client, op_index] {
-    const std::uint32_t key_index = sample_key();
+    const std::uint32_t key_index = keys_.sample(rng_);
     char key[16];
     std::snprintf(key, sizeof key, "k%06u", key_index);
     ++attempted_;

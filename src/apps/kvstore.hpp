@@ -14,11 +14,11 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "client/session.hpp"
 #include "shard/sharded_cluster.hpp"
 #include "util/rng.hpp"
+#include "workload/engine.hpp"
 
 namespace idea::apps {
 
@@ -99,13 +99,12 @@ class KvWorkload {
  private:
   void schedule_client(std::uint32_t client, std::uint64_t op_index,
                        SimTime when);
-  [[nodiscard]] std::uint32_t sample_key();
 
   KvStore& store_;
   sim::Simulator& sim_;
   KvWorkloadParams params_;
   Rng rng_;
-  std::vector<double> zipf_cdf_;  ///< Empty when popularity is uniform.
+  workload::ZipfSampler keys_;  ///< Key popularity (uniform at zipf_s 0).
   SimTime end_time_ = 0;
   std::uint64_t attempted_ = 0;
   std::uint64_t blocked_ = 0;

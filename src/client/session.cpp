@@ -39,8 +39,6 @@ struct SessionMetrics {
   obs::MetricId escalated = obs::MetricId::intern("session.read.escalated");
   obs::MetricId stale = obs::MetricId::intern("session.read.stale");
   obs::MetricId put_latency = obs::MetricId::intern("session.put.latency_us");
-  obs::MetricId wack_latency =
-      obs::MetricId::intern("session.put.wack_latency_us");
   obs::MetricId wack_failed =
       obs::MetricId::intern("session.put.wack_failed");
   obs::MetricId cache_hits = obs::MetricId::intern("session.read.cache_hits");
@@ -87,46 +85,18 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
   }
   ++ops_;
 
-  if (concern.w == 1) {
-    // Default concern: the pre-WriteConcern path, byte-identical on the
-    // wire (no want_ack flags, no pending-ack tracking beyond resends).
-    const bool applied =
-        cluster_.router().write(file, std::move(content), meta_delta, tc);
-    const NodeId coordinator = cluster_.coordinator_endpoint(file);
-    applied ? ++stats_->puts : ++stats_->blocked_puts;
-    // The write acks from the coordinator: one round trip from the
-    // client's origin (the replication fan-out proceeds asynchronously),
-    // estimated by the router's distance model like every read.
-    const SimDuration latency =
-        coordinator == kNoNode
-            ? 0
-            : cluster_.router().rtt(options_.origin, coordinator);
-    if (o != nullptr && applied) {
-      obs::Meter meter = o->cluster_meter();
-      meter.add(session_metrics().puts);
-      meter.observe(session_metrics().put_latency,
-                    static_cast<std::uint64_t>(latency));
-    }
-    if (tc.active()) {
-      o->tracer()->end_span(tc.span, cluster_.sim().now() + latency);
-    }
-    return OpHandle<WriteAck>(
-        cluster_.sim(),
-        WriteAck{applied, coordinator, applied ? 1u : 0u, 0, applied},
-        latency, applied);
-  }
-
-  // w > 1: the handle stays pending until the coordinator confirms w
-  // replica applies (hinted stand-ins counting), or the replication
-  // budget gives up.  The callback fires exactly once — possibly
-  // synchronously, inside write_with_concern.
-  ++stats_->wack_puts;
+  // The handle resolves when the router reports the concern met or
+  // failed — inside router().write() when it is met at dispatch (w = 1,
+  // or hints covering every peer ack), so h.ok() is valid on return.
+  // Only a declared w != 1 counts toward the wack_* stats.
+  const bool wack = concern.w != 1;
+  if (wack) ++stats_->wack_puts;
   OpHandle<WriteAck> handle =
       OpHandle<WriteAck>::pending(cluster_.sim(), WriteAck{});
   shard::ShardedCluster* cluster = &cluster_;
-  cluster_.router().write_with_concern(
+  cluster_.router().write(
       file, std::move(content), meta_delta, concern,
-      [handle, stats = stats_, cluster, o, tc, origin = options_.origin](
+      [handle, stats = stats_, cluster, o, tc, wack, origin = options_.origin](
           bool satisfied, std::uint32_t acks, std::uint32_t hinted,
           NodeId coordinator) {
         WriteAck& ack = handle.mutable_value();
@@ -136,16 +106,18 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
         ack.hinted = hinted;
         ack.w_satisfied = satisfied;
         ack.applied ? ++stats->puts : ++stats->blocked_puts;
-        if (!satisfied) ++stats->wack_failed_puts;
+        if (wack && !satisfied) ++stats->wack_failed_puts;
         if (hinted > 0) ++stats->hinted_puts;
-        // Client-observed latency: the replication time already elapsed
-        // on the sim clock, plus the ack's trip back to the client —
-        // never less than a plain round trip (the synchronous case,
-        // where nothing has elapsed yet).  On failure the router may be
-        // mid-teardown, so skip the distance model; resolve() clamps
-        // the latency up to the elapsed give-up budget.
+        // Client-observed latency, to the acting coordinator: the
+        // replication time already elapsed on the sim clock, plus the
+        // ack's trip back to the client — never less than a plain round
+        // trip (what a write answered at dispatch, blocked ones included,
+        // costs).  A give-up may fire while the router tears down, so it
+        // skips the distance model; resolve() clamps the latency up to
+        // the elapsed give-up budget.
         SimDuration latency = 0;
-        if (satisfied && coordinator != kNoNode) {
+        const bool gave_up = !satisfied && ack.applied;
+        if (!gave_up && coordinator != kNoNode) {
           const SimDuration rtt = cluster->router().rtt(origin, coordinator);
           const SimDuration elapsed =
               cluster->sim().now() - handle.issued_at();
@@ -156,9 +128,9 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
           obs::Meter meter = o->cluster_meter();
           if (ack.applied) meter.add(session_metrics().puts);
           if (satisfied) {
-            meter.observe(session_metrics().wack_latency,
+            meter.observe(session_metrics().put_latency,
                           static_cast<std::uint64_t>(handle.latency()));
-          } else {
+          } else if (wack) {
             meter.add(session_metrics().wack_failed);
           }
         }

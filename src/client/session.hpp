@@ -41,7 +41,8 @@ struct SessionOptions {
   /// Declared consistency for this session's reads (per-op overridable).
   ConsistencyLevel level = ConsistencyLevel::strong();
   /// Declared durability for this session's writes (per-op overridable).
-  /// w = 1 keeps the pre-WriteConcern path byte-identical.
+  /// It sets how many replica applies a put waits for, not which path it
+  /// takes: w = 1 acks at the acting coordinator alone.
   WriteConcern write_concern = {};
   /// Endpoint the client attaches at — the latency model measures
   /// replica distance from here.  kNoNode models a client co-located
@@ -113,12 +114,14 @@ class ClientSession {
   ClientSession(const ClientSession&) = delete;
   ClientSession& operator=(const ClientSession&) = delete;
 
-  /// Route a write under the session's declared WriteConcern.  With the
-  /// default w = 1 the handle acks once the coordinator applied and
-  /// began replicating (one modeled round trip); with w > 1 the handle
-  /// is *pending* and resolves only when w replica applies are confirmed
-  /// (or the replication budget gives up — handle.ok() false, with
-  /// value().acks still reporting what was confirmed).
+  /// Route a write under the session's declared WriteConcern.  The
+  /// handle resolves once w replica applies are confirmed (hinted
+  /// stand-ins counting), one modeled round trip to the acting
+  /// coordinator at the least.  With the default w = 1 that happens
+  /// inside put(), so ok() is valid on return; with w > 1 the handle
+  /// may stay pending until the peer acks arrive (or the replication
+  /// budget gives up — handle.ok() false, with value().acks still
+  /// reporting what was confirmed).
   OpHandle<WriteAck> put(FileId file, std::string content,
                          double meta_delta = 0.0);
 

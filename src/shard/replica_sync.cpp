@@ -85,14 +85,8 @@ ReplicaSyncAgent::~ReplicaSyncAgent() {
 }
 
 bool ReplicaSyncAgent::put(std::string content, double meta_delta,
-                           const obs::TraceContext& tc) {
-  return put_with_concern(std::move(content), meta_delta, PutConcern{}, tc);
-}
-
-bool ReplicaSyncAgent::put_with_concern(std::string content,
-                                        double meta_delta, PutConcern concern,
-                                        const obs::TraceContext& tc,
-                                        replica::Update* applied_out) {
+                           PutConcern concern, const obs::TraceContext& tc,
+                           replica::Update* applied_out) {
   if (!node_.write(std::move(content), meta_delta)) {
     ++stats_.blocked_puts;
     if (concern.on_result) concern.on_result(false, 0);
@@ -103,19 +97,19 @@ bool ReplicaSyncAgent::put_with_concern(std::string content,
   const replica::ReplicaStore& store = node_.store();
   // One shared allocation for the whole fan-out; each send refcounts it.
   // It also keeps the applied update alive for the rest of this call: the
-  // store's own copy moves on its next mutation, and the concern callback
-  // below may write to this file synchronously.
+  // store's own copy moves on its next mutation, and a failing concern
+  // callback below may write to this file synchronously.
   const net::Payload payload = std::vector<replica::Update>{
       *store.find(replica::UpdateKey{node_.id(), store.local_seq()})};
   const replica::Update& u =
       payload.as<std::vector<replica::Update>>().front();
   if (applied_out != nullptr) *applied_out = u;
 
-  // A write-concern put asks for acks even when the group's resend
-  // feature is off — the flag is metadata, so flows that never declare a
-  // concern stay byte-identical.
-  const bool want_ack =
-      options_.resend_timeout > 0 || concern.peer_acks_needed > 0;
+  // A put that still needs peer acks asks for them even when the group's
+  // resend feature is off — the flag is metadata, so flows that never
+  // wait on a peer stay byte-identical.
+  const bool wants_peers = concern.peer_acks_needed > 0;
+  const bool want_ack = options_.resend_timeout > 0 || wants_peers;
   const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes());
   std::uint64_t pushed = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
@@ -135,27 +129,20 @@ bool ReplicaSyncAgent::put_with_concern(std::string content,
   }
   if (pushed > 0) meter_.add(agent_metrics().replicate_pushed, pushed);
 
-  if (concern.on_result && concern.peer_acks_needed == 0) {
-    // w = 1 under the concern API: the local apply is the whole target.
-    ++stats_.wack_satisfied;
-    meter_.add(agent_metrics().wack_satisfied);
-    concern.on_result(true, 1);
-    concern.on_result = nullptr;
-  }
-  if (pushed > 0 && (options_.resend_timeout > 0 || concern.on_result)) {
+  if (pushed > 0 && want_ack) {
     // track_pending fails the concern itself when tracking is impossible
     // (group too large for the rank bitmask).
     if (track_pending(u, concern.peer_acks_needed,
                       std::move(concern.on_result)) &&
-        concern.peer_acks_needed > 0) {
+        wants_peers) {
       ++stats_.wack_tracked;
     }
-  } else if (concern.on_result) {
+  } else if (wants_peers) {
     // Nothing pushed (single-member group) but peer acks were required:
     // the target is unreachable by construction.
     ++stats_.wack_failed;
     meter_.add(agent_metrics().wack_failed);
-    concern.on_result(false, 1);
+    if (concern.on_result) concern.on_result(false, 1);
   }
   return true;
 }

@@ -39,11 +39,13 @@
 ///    abandoned update's silent ranks get an immediate targeted digest,
 ///    so the group converges even with periodic anti-entropy off.
 ///
-///  * Write concerns (put_with_concern): a client-declared WriteConcern{w}
-///    rides the same ack machinery — the put completes its callback once
-///    w - 1 peers confirmed their apply (pushes carry a want_ack flag so
-///    acks flow even when the group's resend feature is off), or fails it
-///    when the re-send budget runs out first.
+///  * Write concerns (put with a PutConcern): peer acks a client's
+///    WriteConcern{w} still needs ride the same ack machinery — the put
+///    completes its callback once that many peers confirmed their apply
+///    (pushes carry a want_ack flag so acks flow even when the group's
+///    resend feature is off), or fails it when the re-send budget runs
+///    out first.  A concern met at dispatch (w = 1, or hints covering
+///    every peer ack) never reaches the agent: the router answers it.
 
 #include <functional>
 #include <map>
@@ -108,10 +110,10 @@ struct ReplicaSyncOptions {
 using WriteConcernCallback =
     std::function<void(bool satisfied, std::uint32_t acks)>;
 
-/// Ack requirement of one put (see ReplicaSyncAgent::put_with_concern).
+/// Peer-ack requirement of one put (see ReplicaSyncAgent::put).
 struct PutConcern {
-  /// Peer applies required beyond the coordinator's local one.  0 with an
-  /// on_result set means w = 1: the callback fires synchronously.
+  /// Peer applies required beyond the coordinator's local one.  0 tracks
+  /// nothing; on_result belongs with a positive count.
   std::uint32_t peer_acks_needed = 0;
   WriteConcernCallback on_result;
 };
@@ -153,23 +155,20 @@ class ReplicaSyncAgent final : public net::MessageHandler {
   /// blocks updates, mirroring IdeaNode::write.  A traced write (`tc`
   /// active) records each replication push as a wire span of `tc`'s
   /// trace, closed by the receiving rank at delivery.
-  bool put(std::string content, double meta_delta,
-           const obs::TraceContext& tc = {});
-
-  /// put() plus a write-concern: the push fan-out asks receivers for
+  ///
+  /// With `concern.peer_acks_needed > 0` the pushes ask receivers for
   /// delivery acks (even when the group's resend feature is off — the
   /// messages carry a want_ack flag), the put is tracked against the
   /// group's resend budget, and `concern.on_result` fires exactly once —
-  /// satisfied when `peer_acks_needed` distinct ranks confirmed their
-  /// apply, failed when the budget runs out first (at which point the
-  /// give-up path has already scheduled targeted anti-entropy, so the
-  /// data still converges even though the ack did not).  With an empty
-  /// concern this is byte-identical to put().  `applied_out`, when
-  /// non-null, receives a copy of the locally applied update (for hint
-  /// queueing) before the callback can fire.
-  bool put_with_concern(std::string content, double meta_delta,
-                        PutConcern concern, const obs::TraceContext& tc = {},
-                        replica::Update* applied_out = nullptr);
+  /// satisfied when that many distinct ranks confirmed their apply,
+  /// failed when the put is blocked or the budget runs out first (at
+  /// which point the give-up path has already scheduled targeted
+  /// anti-entropy, so the data still converges even though the ack did
+  /// not).  `applied_out`, when non-null, receives a copy of the locally
+  /// applied update (for hint queueing).
+  bool put(std::string content, double meta_delta, PutConcern concern = {},
+           const obs::TraceContext& tc = {},
+           replica::Update* applied_out = nullptr);
 
   /// Arm the periodic anti-entropy exchange (idempotent re-arm; 0 stops).
   /// Rounds rotate deterministically over the other ranks, so every pair

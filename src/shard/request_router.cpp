@@ -72,14 +72,6 @@ std::vector<replica::Update> merge_canonical(
 
 }  // namespace
 
-std::vector<NodeId> RequestRouter::group_of(FileId file) const {
-  return cluster_.group_of(file);
-}
-
-NodeId RequestRouter::coordinator_of(FileId file) const {
-  return cluster_.coordinator_endpoint(file);
-}
-
 core::IdeaNode* RequestRouter::open(FileId file) {
   const std::size_t before = cluster_.placed_files();
   core::IdeaNode* coordinator = cluster_.ensure_open(file);
@@ -89,45 +81,25 @@ core::IdeaNode* RequestRouter::open(FileId file) {
   return coordinator;
 }
 
-bool RequestRouter::write(FileId file, std::string content,
-                          double meta_delta, const obs::TraceContext& tc) {
-  if (open(file) == nullptr) return false;
-  const auto [agent, endpoint] = cluster_.coordinator(file);
-  if (agent == nullptr) return false;
-  ++stats_.coordinator_ops[endpoint];
-  const bool failover = endpoint != cluster_.coordinator_endpoint(file);
-  if (failover) ++stats_.failover_writes;
-  if (!agent->put(std::move(content), meta_delta, tc)) {
-    ++stats_.blocked_writes;
-    return false;
-  }
-  ++stats_.writes;
-  if (adapt::ConsistencyController* ctl = cluster_.controller()) {
-    ctl->on_write(file);
-  }
-  if (obs::Observability* o = observability()) {
-    o->cluster_meter().add(router_metrics().writes);
-    if (failover) o->cluster_meter().add(router_metrics().write_failover);
-  }
-  return true;
-}
-
-RequestRouter::WriteDispatch RequestRouter::write_with_concern(
+RequestRouter::WriteDispatch RequestRouter::write(
     FileId file, std::string content, double meta_delta,
     const client::WriteConcern& concern, WriteAckCallback on_result,
     const obs::TraceContext& tc) {
   WriteDispatch d;
-  // Unroutable (empty ring / every member down): not a blocked write,
-  // mirroring write() — but the callback still gets its exactly-once fire.
-  const auto fail = [&] {
-    if (on_result) on_result(false, 0, 0, d.coordinator);
+  // Every outcome the agent does not track is answered here, exactly
+  // once: unroutable (empty ring / every member down — not a blocked
+  // write), blocked, or met at dispatch.
+  const auto answer = [&] {
+    if (on_result) {
+      on_result(d.applied, d.applied ? 1 : 0, d.hinted, d.coordinator);
+    }
     return d;
   };
-  if (open(file) == nullptr) return fail();
+  if (open(file) == nullptr) return answer();
   const auto [agent, endpoint] = cluster_.coordinator(file);
-  if (agent == nullptr) return fail();
+  if (agent == nullptr) return answer();
   const std::vector<NodeId>* members = cluster_.members_of(file);
-  if (members == nullptr || members->empty()) return fail();
+  if (members == nullptr || members->empty()) return answer();
 
   d.coordinator = endpoint;
   const auto k = static_cast<std::uint32_t>(members->size());
@@ -157,31 +129,29 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   const auto hinted = static_cast<std::uint32_t>(hint_plan.size());
   d.hinted = hinted;
 
+  // Peer acks the hints do not cover are the agent's to track; it then
+  // owns the callback.  The wrapper credits the hinted stand-ins and
+  // names the acting coordinator; acks == 0 still means "never applied".
   PutConcern agent_concern;
   agent_concern.peer_acks_needed = w - 1 > hinted ? w - 1 - hinted : 0;
-  if (on_result) {
-    // The wrapper credits the hinted stand-ins and names the acting
-    // coordinator; acks == 0 still means "never applied".
+  if (agent_concern.peer_acks_needed > 0 && on_result) {
     agent_concern.on_result = [cb = std::move(on_result), hinted,
                                coordinator = endpoint](
                                   bool satisfied, std::uint32_t acks) {
       cb(satisfied, acks, hinted, coordinator);
     };
+    on_result = nullptr;
   }
 
-  // The applied update comes back by value: with every peer ack covered
-  // by hints the callback fires inside the put, and it may write to this
-  // file again before the hints are queued.
   replica::Update applied;
-  if (!agent->put_with_concern(std::move(content), meta_delta,
-                               std::move(agent_concern), tc,
-                               hint_plan.empty() ? nullptr : &applied)) {
-    // The agent already failed the callback.
+  d.applied = agent->put(std::move(content), meta_delta,
+                         std::move(agent_concern), tc,
+                         hint_plan.empty() ? nullptr : &applied);
+  if (!d.applied) {
     ++stats_.blocked_writes;
-    return d;
+    return answer();
   }
   ++stats_.writes;
-  d.applied = true;
   if (adapt::ConsistencyController* ctl = cluster_.controller()) {
     ctl->on_write(file);
   }
@@ -203,7 +173,7 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
     if (w > 1) meter.add(router_metrics().write_wack);
     if (hinted > 0) meter.add(router_metrics().write_sloppy);
   }
-  return d;
+  return answer();
 }
 
 obs::Observability* RequestRouter::observability() const {

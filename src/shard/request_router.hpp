@@ -28,13 +28,12 @@
 /// are cold, so policy reads are pinned to the already-warm new
 /// coordinator until the window passes.
 ///
-/// Writes still go to the file's coordinator (rank 0), whose
-/// ReplicaSyncAgent pushes the update to the rest of the group; that path
-/// is byte-identical to the old ShardRouter's, which is what keeps the
-/// fixed-seed determinism goldens valid.  A write carrying a client
-/// WriteConcern{w > 1} additionally waits for w - 1 peer acks before its
-/// callback fires, and routes around crashed members with sloppy-quorum
-/// hinted handoff (see write_with_concern).
+/// Every write takes one path: write() sends it to the file's acting
+/// coordinator (the lowest alive rank), whose ReplicaSyncAgent pushes the
+/// update to the rest of the group.  The client's WriteConcern only sets
+/// how many acks the write needs: w = 1 is met at dispatch, while
+/// WriteConcern{w > 1} waits for the peer acks its hints do not cover,
+/// routing around crashed members with sloppy-quorum hinted handoff.
 
 #include <cstdint>
 #include <functional>
@@ -113,12 +112,6 @@ class RequestRouter {
   // Placement / lifecycle
   // ------------------------------------------------------------------
 
-  /// The file's replica group (primary first) per the current ring.
-  [[nodiscard]] std::vector<NodeId> group_of(FileId file) const;
-
-  /// The endpoint coordinating the file (kNoNode on an empty ring).
-  [[nodiscard]] NodeId coordinator_of(FileId file) const;
-
   /// Ensure the file is open on its whole replica group; returns the
   /// coordinator's replica stack (nullptr on an empty ring).
   core::IdeaNode* open(FileId file);
@@ -134,14 +127,8 @@ class RequestRouter {
   // Data path
   // ------------------------------------------------------------------
 
-  /// Route a write to the file's coordinator, which replicates it to the
-  /// group.  Opens the file on first touch.  A traced write (`tc` active)
-  /// has its replication fan-out recorded under `tc`'s trace.
-  bool write(FileId file, std::string content, double meta_delta,
-             const obs::TraceContext& tc = {});
-
-  /// What one write-concern dispatch decided (issue-time view; the ack
-  /// outcome arrives through the callback).
+  /// What one write dispatch decided (issue-time view; the ack outcome
+  /// arrives through the callback).
   struct WriteDispatch {
     bool applied = false;        ///< Coordinator applied the write.
     NodeId coordinator = kNoNode;
@@ -149,28 +136,30 @@ class RequestRouter {
     std::uint32_t hinted = 0;    ///< Crashed members hinted to stand-ins.
   };
 
-  /// Completion of a write-concern write: `acks` is the coordinator-side
-  /// count of confirmed group applies (local one included, hinted
-  /// stand-ins NOT — add `hinted`); 0 means the write never applied.
-  /// `coordinator` is the acting coordinator that ran the put.
+  /// Completion of a write: `acks` is the coordinator-side count of
+  /// confirmed group applies (local one included, hinted stand-ins NOT —
+  /// add `hinted`); 0 means the write never applied.  `coordinator` is
+  /// the acting coordinator that ran the put.
   using WriteAckCallback = std::function<void(
       bool satisfied, std::uint32_t acks, std::uint32_t hinted,
       NodeId coordinator)>;
 
-  /// Route a write under a client-declared WriteConcern.  Resolves w
-  /// against the file's group, and when fewer than w members are alive
-  /// performs a sloppy-quorum write: each crashed member the concern
-  /// needs is covered by a hint durably queued at a live stand-in
-  /// endpoint (counting toward w), to be drained back through
-  /// anti-entropy when the member restarts.  `on_result` fires exactly
-  /// once — possibly synchronously (w already covered at dispatch, or
-  /// the write was blocked/unroutable).  With w resolving to 1 and no
-  /// callback this is behavior-identical to write().
-  WriteDispatch write_with_concern(FileId file, std::string content,
-                                   double meta_delta,
-                                   const client::WriteConcern& concern,
-                                   WriteAckCallback on_result,
-                                   const obs::TraceContext& tc = {});
+  /// Route a write to the file's acting coordinator, which replicates it
+  /// to the group.  Opens the file on first touch.  Resolves `concern`
+  /// against the group, and when fewer than w members are alive performs
+  /// a sloppy-quorum write: each crashed member the concern needs is
+  /// covered by a hint durably queued at a live stand-in endpoint
+  /// (counting toward w), to be drained back through anti-entropy when
+  /// the member restarts.  `on_result` fires exactly once: inside this
+  /// call when the write is met at dispatch (w resolves to 1, or hints
+  /// cover every peer ack), blocked, or unroutable; otherwise when the
+  /// coordinator's peer acks arrive or its re-send budget gives up.  A
+  /// traced write (`tc` active) has its replication fan-out recorded
+  /// under `tc`'s trace.
+  WriteDispatch write(FileId file, std::string content, double meta_delta,
+                      const client::WriteConcern& concern = {},
+                      WriteAckCallback on_result = {},
+                      const obs::TraceContext& tc = {});
 
   /// Route a read under `level` from a client attached at `origin`.
   /// Returns an empty result (ok() == false) on an empty ring.  A traced

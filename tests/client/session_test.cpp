@@ -623,5 +623,84 @@ TEST(ClientSessionTest, PerOpOverrideAndSessionStats) {
   EXPECT_FALSE(session.close(file));
 }
 
+TEST(ClientSessionTest, OnePutsLeaveWriteConcernCountersAtZero) {
+  shard::ShardedClusterConfig cfg = session_config(909);
+  cfg.observability.enabled = true;
+  shard::ShardedCluster cluster(cfg);
+  Client client(cluster);
+  ClientSession session = client.session({.origin = 4});  // w = 1
+
+  const FileId file = 8;
+  for (int i = 0; i < 5; ++i) {
+    const std::string content = "w" + std::to_string(i);
+    const OpHandle<WriteAck> h = session.put(file, content, 1.0);
+    // Met at dispatch: resolved inside put(), one round trip long.
+    ASSERT_TRUE(h.resolved());
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(h->w_satisfied);
+    EXPECT_EQ(h->acks, 1u);
+    EXPECT_EQ(h.latency(), cluster.router().rtt(4, h->coordinator));
+  }
+  cluster.run_for(sec(2));
+
+  EXPECT_EQ(session.stats().puts, 5u);
+  EXPECT_EQ(session.stats().wack_puts, 0u);
+  EXPECT_EQ(session.stats().wack_failed_puts, 0u);
+  EXPECT_EQ(session.stats().hinted_puts, 0u);
+  EXPECT_EQ(cluster.router().stats().wack_writes, 0u);
+  EXPECT_EQ(cluster.router().stats().sloppy_writes, 0u);
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    const shard::ReplicaSyncStats& s =
+        cluster.sync_agent(file, rank)->stats();
+    EXPECT_EQ(s.wack_tracked, 0u) << "rank " << rank;
+    EXPECT_EQ(s.wack_satisfied, 0u) << "rank " << rank;
+    EXPECT_EQ(s.wack_failed, 0u) << "rank " << rank;
+  }
+
+  // One put-latency histogram for every concern; w = 1 adds no
+  // write-concern failures.
+  const obs::MetricsRegistry metrics = cluster.obs()->aggregate();
+  const obs::MetricId put_latency =
+      obs::MetricId::intern("session.put.latency_us");
+  const obs::MetricId wack_failed =
+      obs::MetricId::intern("session.put.wack_failed");
+  ASSERT_NE(metrics.histogram(put_latency), nullptr);
+  EXPECT_EQ(metrics.histogram(put_latency)->count, 5u);
+  EXPECT_EQ(metrics.counter(wack_failed), 0u);
+}
+
+TEST(ClientSessionTest, BlockedOnePutResolvesNotOk) {
+  shard::ShardedCluster cluster(session_config(1010));
+  Client client(cluster);
+  ClientSession session = client.session({.origin = 3});
+
+  const FileId file = 4;
+  ASSERT_TRUE(session.put(file, "warm", 1.0).ok());
+  cluster.run_for(sec(12));  // a couple of RanSub epochs
+
+  // An active resolution at the coordinator blocks its local writes
+  // while the round is collecting.
+  core::IdeaNode* coordinator = cluster.replica_at_rank(file, 0);
+  ASSERT_TRUE(coordinator->demand_active_resolution());
+  for (int i = 0; i < 100'000 && !coordinator->resolution().busy(); ++i) {
+    cluster.sim().step();
+  }
+  ASSERT_TRUE(coordinator->resolution().busy());
+
+  const OpHandle<WriteAck> h = session.put(file, "refused", 1.0);
+  ASSERT_TRUE(h.resolved());
+  EXPECT_FALSE(h.ok());
+  EXPECT_FALSE(h->applied);
+  EXPECT_FALSE(h->w_satisfied);
+  EXPECT_EQ(h->acks, 0u);
+  // The refusal comes back from the coordinator after one round trip.
+  EXPECT_EQ(h->coordinator, cluster.coordinator_endpoint(file));
+  EXPECT_EQ(h.latency(), cluster.router().rtt(3, h->coordinator));
+  EXPECT_EQ(session.stats().puts, 1u);
+  EXPECT_EQ(session.stats().blocked_puts, 1u);
+  EXPECT_EQ(session.stats().wack_failed_puts, 0u);
+  EXPECT_EQ(cluster.router().stats().blocked_writes, 1u);
+}
+
 }  // namespace
 }  // namespace idea::client

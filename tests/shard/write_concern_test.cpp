@@ -5,7 +5,8 @@
 /// The oracle assertions are the acceptance criteria of the write-side
 /// half of the tunable-consistency matrix:
 ///  * a w=majority put resolves only after the coordinator confirms the
-///    peer applies (OpHandle pending semantics);
+///    peer applies (OpHandle pending semantics), while a w=1 put resolves
+///    inside put() at the acting coordinator, failover included;
 ///  * a sloppy-quorum write hints a crashed member at a live stand-in and
 ///    the hint drains exactly once when the member restarts;
 ///  * an exhausted resend budget is never silent — give-up fires targeted
@@ -99,6 +100,36 @@ TEST(WriteConcernTest, MajorityPutResolvesOnlyAfterPeerAck) {
   EXPECT_GE(agent->stats().acks_received, 1u);
 }
 
+TEST(WriteConcernTest, OnePutAcksAtTheActingCoordinatorAfterFailover) {
+  shard::ShardedCluster cluster(concern_config(31));
+  Client client(cluster);
+
+  const FileId file = 5;
+  ASSERT_NE(cluster.router().open(file), nullptr);
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 3u);
+  NodeId origin = 0;
+  while (std::find(group.begin(), group.end(), origin) != group.end()) {
+    ++origin;
+  }
+  cluster.crash_endpoint(group[0]);
+  const NodeId acting = cluster.coordinator(file).second;
+  ASSERT_EQ(acting, group[1]);
+  ASSERT_NE(cluster.router().rtt(origin, acting),
+            cluster.router().rtt(origin, group[0]))
+      << "pick a seed whose latency model tells the two apart";
+
+  ClientSession session = client.session({.origin = origin});  // w = 1
+  const OpHandle<WriteAck> h = session.put(file, "failover", 1.0);
+  ASSERT_TRUE(h.resolved()) << "w = 1 resolves inside put()";
+  EXPECT_TRUE(h.ok());
+  EXPECT_TRUE(h->applied);
+  EXPECT_EQ(h->acks, 1u);
+  EXPECT_EQ(h->coordinator, acting);
+  EXPECT_EQ(h.latency(), cluster.router().rtt(origin, acting));
+  EXPECT_EQ(cluster.router().stats().failover_writes, 1u);
+}
+
 TEST(WriteConcernTest, SloppyQuorumHintsCrashedMemberAndDrainsOnce) {
   shard::ShardedCluster cluster(concern_config(22));
   Client client(cluster);
@@ -154,9 +185,10 @@ TEST(WriteConcernTest, SloppyQuorumHintsCrashedMemberAndDrainsOnce) {
 
 TEST(WriteConcernTest, HintCarriesTheWriteEvenWhenTheCallbackWritesAgain) {
   // k = 2, w = majority (2), the other member dark: the hint covers the
-  // only peer ack, so the completion callback fires inside the put —
-  // before the router queues the hint.  A callback that writes to the
-  // same file again must not change (or dangle) what the hint carries.
+  // only peer ack, so the write is met at dispatch and the router fires
+  // the completion callback inside write().  A callback that writes to
+  // the same file again must not change (or dangle) what the hint
+  // carries.
   shard::ShardedClusterConfig cfg = concern_config(23);
   cfg.replication = 2;
   shard::ShardedCluster cluster(cfg);
@@ -170,17 +202,17 @@ TEST(WriteConcernTest, HintCarriesTheWriteEvenWhenTheCallbackWritesAgain) {
 
   bool fired = false;
   const shard::RequestRouter::WriteDispatch d =
-      cluster.router().write_with_concern(
+      cluster.router().write(
           file, "first", 1.0, WriteConcern::majority(),
           [&](bool satisfied, std::uint32_t, std::uint32_t hinted, NodeId) {
             fired = true;
             EXPECT_TRUE(satisfied);
             EXPECT_EQ(hinted, 1u);
             for (int i = 0; i < 4; ++i) {
-              EXPECT_TRUE(cluster.router().write(file, "again", 1.0));
+              EXPECT_TRUE(cluster.router().write(file, "again", 1.0).applied);
             }
           });
-  EXPECT_TRUE(fired) << "the callback should fire inside the put";
+  EXPECT_TRUE(fired) << "the callback should fire inside write()";
   EXPECT_TRUE(d.applied);
   EXPECT_EQ(d.hinted, 1u);
 
