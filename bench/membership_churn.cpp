@@ -14,6 +14,10 @@
 ///
 ///   $ ./membership_churn [--endpoints 16] [--files 800] [--seed 2007]
 ///                        [--ae-ms 500]
+///
+/// Exits non-zero when a join or leave migrates a different number of
+/// files than the ring delta predicted (the MembershipChange contract),
+/// or when some group is still not whole at the end of an experiment.
 
 #include <chrono>
 #include <cstdio>
@@ -84,7 +88,8 @@ int periods_to_heal(shard::ShardedCluster& cluster, std::uint32_t files,
   return -1;
 }
 
-void report_change(const char* label, const shard::MembershipChange& change,
+/// Prints the change; false when it broke the MembershipChange contract.
+bool report_change(const char* label, const shard::MembershipChange& change,
                    double wall_ms) {
   std::printf(
       "  %-6s endpoint=%u  predicted=%zu  migrated=%zu  streamed=%zu "
@@ -92,9 +97,22 @@ void report_change(const char* label, const shard::MembershipChange& change,
       label, change.endpoint, change.rebalance.group_changed,
       change.files_migrated, change.state_updates, change.stream_messages,
       wall_ms);
+  if (change.files_migrated == change.rebalance.group_changed) return true;
+  std::printf("FAIL: %s migrated %zu files, the ring delta predicted %zu\n",
+              label, change.files_migrated, change.rebalance.group_changed);
+  return false;
 }
 
-void run(const Setup& s) {
+/// False (with a message) when some group never became whole.
+bool check_healed(const char* label, int heal) {
+  if (heal >= 0) return true;
+  std::printf("FAIL: %s left groups diverged past the heal cap\n", label);
+  return false;
+}
+
+/// Runs the three experiments; false when any gate failed.
+bool run(const Setup& s) {
+  bool ok = true;
   std::printf("# membership churn: %u endpoints, %u files, k=3, ae=%lld ms\n",
               s.endpoints, s.files,
               static_cast<long long>(s.ae_period / 1000));
@@ -109,13 +127,14 @@ void run(const Setup& s) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    report_change("join", joined, wall_ms);
+    ok = report_change("join", joined, wall_ms) && ok;
     d.cluster->run_until(sec(13));
     const int heal =
         periods_to_heal(*d.cluster, s.files, s.ae_period, 20);
     std::printf("         groups whole again after %d ae-period(s); "
                 "%llu puts applied\n",
                 heal, static_cast<unsigned long long>(d.kv->puts()));
+    ok = check_healed("join", heal) && ok;
   }
 
   // --- 2. leave -----------------------------------------------------
@@ -129,13 +148,14 @@ void run(const Setup& s) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    report_change("leave", left, wall_ms);
+    ok = report_change("leave", left, wall_ms) && ok;
     d.cluster->run_until(sec(13));
     const int heal =
         periods_to_heal(*d.cluster, s.files, s.ae_period, 20);
     std::printf("         groups whole again after %d ae-period(s); "
                 "%llu puts applied\n",
                 heal, static_cast<unsigned long long>(d.kv->puts()));
+    ok = check_healed("leave", heal) && ok;
   }
 
   // --- 3. loss window + anti-entropy heal ---------------------------
@@ -162,7 +182,9 @@ void run(const Setup& s) {
             d.cluster->transport().fault_dropped()),
         static_cast<unsigned long long>(digest_msgs),
         static_cast<unsigned long long>(repair_msgs));
+    ok = check_healed("heal", heal) && ok;
   }
+  return ok;
 }
 
 }  // namespace
@@ -176,6 +198,5 @@ int main(int argc, char** argv) {
   s.files = static_cast<std::uint32_t>(flags.get_int("files", s.files));
   s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   s.ae_period = idea::msec(flags.get_int("ae-ms", 500));
-  idea::bench::run(s);
-  return 0;
+  return idea::bench::run(s) ? 0 : 1;
 }

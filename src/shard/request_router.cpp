@@ -181,8 +181,8 @@ obs::Observability* RequestRouter::observability() const {
 }
 
 double RequestRouter::level(FileId file) const {
-  if (!cluster_.is_placed(file)) return 1.0;
-  core::IdeaNode* coordinator = cluster_.replica_at_rank(file, 0);
+  core::IdeaNode* coordinator =
+      cluster_.replica(file, cluster_.coordinator(file).second);
   return coordinator == nullptr ? 1.0 : coordinator->current_level();
 }
 
@@ -202,10 +202,7 @@ SimDuration RequestRouter::rtt(NodeId origin, NodeId endpoint) const {
 }
 
 bool RequestRouter::hint_live(const Freshness& f) const {
-  const SimDuration ttl = cluster_.config().freshness_hint_ttl;
-  if (ttl <= 0) return true;  // decay disabled
-  const SimTime now = cluster_.sim().now();
-  return now <= f.at + ttl;
+  return cluster_.sim().now() <= f.at + cluster_.config().freshness_hint_ttl;
 }
 
 void RequestRouter::note_freshness(FileId file, NodeId endpoint,
@@ -268,18 +265,15 @@ void RequestRouter::forget_endpoint(NodeId endpoint) {
 
 NodeId RequestRouter::pick_replica(FileId file,
                                    const std::vector<NodeId>& members,
+                                   NodeId coord_ep,
+                                   const core::IdeaNode& coordinator,
                                    NodeId origin, bool use_hints) const {
-  // Selection key: (estimated versions behind, RTT, rank).  The lag
-  // estimate comes from anti-entropy freshness hints and defaults to 0
-  // when nothing was hinted yet — optimistic, but safe: the bounded
-  // staleness serve path re-checks the bound exactly.
-  std::uint64_t coordinator_total = 0;
-  if (use_hints) {
-    core::IdeaNode* coordinator = cluster_.replica_at_rank(file, 0);
-    if (coordinator != nullptr) {
-      coordinator_total = coordinator->store().evv().counts().total();
-    }
-  }
+  // Selection key: (estimated versions behind the acting coordinator,
+  // RTT, rank).  The lag estimate comes from anti-entropy freshness hints
+  // and defaults to 0 when nothing was hinted yet — optimistic, but safe:
+  // the bounded staleness serve path re-checks the bound exactly.
+  const std::uint64_t coordinator_total =
+      use_hints ? coordinator.store().evv().counts().total() : 0;
   NodeId best = kNoNode;
   std::tuple<std::uint64_t, SimDuration, std::uint32_t> best_key{
       UINT64_MAX, 0, 0};
@@ -287,7 +281,7 @@ NodeId RequestRouter::pick_replica(FileId file,
     const NodeId endpoint = members[rank];
     if (!cluster_.has_endpoint(endpoint)) continue;  // crashed: route around
     std::uint64_t lag = 0;
-    if (use_hints && rank != 0) {
+    if (use_hints && endpoint != coord_ep) {
       // A replica nobody has hinted about yet stays at lag 0 (optimistic
       // — the serve path's exact bound check is the safety net); a
       // hinted one is ranked by how far behind its last digest showed it.
@@ -345,21 +339,19 @@ client::ReadResult RequestRouter::serve_single(FileId file, NodeId endpoint,
 }
 
 client::ReadResult RequestRouter::serve_quorum(
-    FileId file, const std::vector<NodeId>& members, NodeId origin,
-    std::uint32_t r, const obs::TraceContext& tc) {
-  // Fan out to the coordinator plus the r-1 nearest other replicas: the
-  // write path acks at the coordinator (W = 1), so including it keeps
-  // R ∩ W nonempty and the merged view can never miss an acked write.
-  // Crashed members cannot be contacted — the quorum forms over the
-  // living, with the acting coordinator (lowest alive rank) first.
-  std::vector<NodeId> alive;
-  alive.reserve(members.size());
+    FileId file, const std::vector<NodeId>& members, NodeId coord_ep,
+    NodeId origin, std::uint32_t r, const obs::TraceContext& tc) {
+  // Fan out to the acting coordinator plus the r-1 nearest other
+  // replicas: writes apply at the acting coordinator first, so including
+  // it keeps R ∩ W nonempty and the merged view can never miss an acked
+  // write.  Crashed members cannot be contacted — the quorum forms over
+  // the living.
+  std::vector<NodeId> targets{coord_ep};
+  std::vector<NodeId> others;
+  others.reserve(members.size());
   for (NodeId e : members) {
-    if (cluster_.has_endpoint(e)) alive.push_back(e);
+    if (e != coord_ep && cluster_.has_endpoint(e)) others.push_back(e);
   }
-  if (alive.empty()) return {};
-  std::vector<NodeId> targets{alive.front()};
-  std::vector<NodeId> others(alive.begin() + 1, alive.end());
   std::stable_sort(others.begin(), others.end(),
                    [&](NodeId a, NodeId b) {
                      return rtt(origin, a) < rtt(origin, b);
@@ -487,15 +479,8 @@ client::ReadResult RequestRouter::route_read(
   if (coordinator == nullptr) return {};
   const std::vector<NodeId>* members = cluster_.members_of(file);
   if (members == nullptr || members->empty()) return {};
-  // Acting coordinator: the lowest alive rank — rank 0 unless it crashed,
-  // in which case reads (like writes) fail over down the rank order.
-  NodeId coord_ep = members->front();
-  for (NodeId member : *members) {
-    if (cluster_.has_endpoint(member)) {
-      coord_ep = member;
-      break;
-    }
-  }
+  // Reads (like writes) go to the acting coordinator.
+  const NodeId coord_ep = cluster_.coordinator(file).second;
   ++stats_.reads;
 
   obs::Observability* o = observability();
@@ -529,8 +514,9 @@ client::ReadResult RequestRouter::route_read(
         res.migration_window = true;
         return res;
       }
-      const NodeId target =
-          pick_replica(file, *members, origin, /*use_hints=*/false);
+      const NodeId target = pick_replica(file, *members, coord_ep,
+                                         *coordinator, origin,
+                                         /*use_hints=*/false);
       client::ReadResult res = serve_single(file, target, origin, tc);
       if (target != coord_ep) {
         core::IdeaNode* node = cluster_.replica(file, target);
@@ -550,8 +536,9 @@ client::ReadResult RequestRouter::route_read(
         res.migration_window = true;
         return res;
       }
-      const NodeId candidate =
-          pick_replica(file, *members, origin, /*use_hints=*/true);
+      const NodeId candidate = pick_replica(file, *members, coord_ep,
+                                            *coordinator, origin,
+                                            /*use_hints=*/true);
       // Age of the freshness hint that informed this selection — how
       // stale the router's own routing input was at use time.
       if (candidate != coord_ep && meter.enabled()) {
@@ -600,7 +587,8 @@ client::ReadResult RequestRouter::route_read(
       std::uint32_t r = level.quorum_r == 0 ? k / 2 + 1 : level.quorum_r;
       r = std::min(std::max<std::uint32_t>(r, 1), k);
       ++stats_.coordinator_ops[coord_ep];
-      client::ReadResult res = serve_quorum(file, *members, origin, r, tc);
+      client::ReadResult res =
+          serve_quorum(file, *members, coord_ep, origin, r, tc);
       res.migration_window = in_migration_window(file);
       return res;
     }

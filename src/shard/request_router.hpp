@@ -19,9 +19,9 @@
 ///                        oldest missing update); otherwise the read
 ///                        escalates to the coordinator;
 ///  * Quorum            — fan out to r replicas (always including the
-///                        coordinator, since writes ack at W = 1), merge
-///                        their logs by version vector, return the
-///                        freshest view.
+///                        coordinator, since writes apply at the acting
+///                        coordinator first), merge their logs by version
+///                        vector, return the freshest view.
 ///
 /// The router is migration-aware: while a file's post-migration state
 /// stream is still in flight, non-coordinator replicas of the new group
@@ -119,8 +119,9 @@ class RequestRouter {
   /// Close the file on every group member.  Returns whether it was open.
   bool close(FileId file);
 
-  /// The consistency level the coordinator currently attaches to the
-  /// file; 1.0 for files that were never opened.
+  /// The consistency level the acting coordinator currently attaches to
+  /// the file; 1.0 for files that are not placed or whose members are
+  /// all down.
   [[nodiscard]] double level(FileId file) const;
 
   // ------------------------------------------------------------------
@@ -229,19 +230,23 @@ class RequestRouter {
     SimTime at = 0;
   };
 
-  /// Whether the hint is still inside the decay horizon (always true
-  /// when decay is disabled via freshness_hint_ttl = 0).
+  /// Whether the hint is still inside the decay horizon
+  /// (config.freshness_hint_ttl).
   [[nodiscard]] bool hint_live(const Freshness& f) const;
 
   /// The live hint for (file, endpoint); nullptr when absent or decayed.
   [[nodiscard]] const Freshness* find_hint(FileId file,
                                            NodeId endpoint) const;
 
-  /// The policy's preferred serving replica among `members` (rank order,
-  /// coordinator first).  `use_hints` biases selection toward replicas
-  /// recently hinted fresh (bounded staleness); otherwise pure latency.
+  /// The policy's preferred serving replica among `members` (rank
+  /// order).  `use_hints` biases selection toward replicas recently
+  /// hinted fresh (bounded staleness), measuring each hinted replica's
+  /// lag against `coordinator`, the acting coordinator's stack at
+  /// `coord_ep`; otherwise pure latency.
   [[nodiscard]] NodeId pick_replica(FileId file,
                                     const std::vector<NodeId>& members,
+                                    NodeId coord_ep,
+                                    const core::IdeaNode& coordinator,
                                     NodeId origin, bool use_hints) const;
 
   /// Exact staleness of `endpoint`'s replica vs the coordinator at serve
@@ -253,9 +258,11 @@ class RequestRouter {
       FileId file, NodeId endpoint, NodeId origin,
       const obs::TraceContext& tc = {});
 
+  /// Merge the acting coordinator (`coord_ep`) with the r-1 nearest
+  /// other live replicas.
   [[nodiscard]] client::ReadResult serve_quorum(
-      FileId file, const std::vector<NodeId>& members, NodeId origin,
-      std::uint32_t r, const obs::TraceContext& tc = {});
+      FileId file, const std::vector<NodeId>& members, NodeId coord_ep,
+      NodeId origin, std::uint32_t r, const obs::TraceContext& tc = {});
 
   /// The policy dispatch read() wraps: routes one read at an
   /// already-resolved level.  This is the pre-adaptive read() body,

@@ -2,9 +2,73 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace idea::shard {
+namespace {
+
+/// The cluster's metric ids, interned once per process.
+struct ClusterMetrics {
+  obs::MetricId migrations = obs::MetricId::intern("shard.migrations");
+  obs::MetricId migrate_state_updates =
+      obs::MetricId::intern("shard.migrate.state_updates");
+  obs::MetricId migrate_stream_messages =
+      obs::MetricId::intern("shard.migrate.stream_messages");
+  obs::MetricId migration_pin_us =
+      obs::MetricId::intern("shard.migration_pin_us");
+  obs::MetricId hints_queued = obs::MetricId::intern("hints.queued");
+  obs::MetricId hints_queue_depth = obs::MetricId::intern("hints.queue_depth");
+  obs::MetricId hints_drained = obs::MetricId::intern("hints.drained");
+  obs::MetricId hints_drain_duplicates =
+      obs::MetricId::intern("hints.drain_duplicates");
+  obs::MetricId ckpt_runs = obs::MetricId::intern("ckpt.runs");
+  obs::MetricId ckpt_files_written =
+      obs::MetricId::intern("ckpt.files_written");
+  obs::MetricId ckpt_files_clean = obs::MetricId::intern("ckpt.files_clean");
+  obs::MetricId ckpt_updates_written =
+      obs::MetricId::intern("ckpt.updates_written");
+  obs::MetricId ckpt_bytes_written =
+      obs::MetricId::intern("ckpt.bytes_written");
+  obs::MetricId ckpt_dirty_ratio_pct =
+      obs::MetricId::intern("ckpt.dirty_ratio_pct");
+  obs::MetricId crashes = obs::MetricId::intern("crash.crashes");
+  obs::MetricId restarts = obs::MetricId::intern("crash.restarts");
+  obs::MetricId downtime_us = obs::MetricId::intern("recovery.downtime_us");
+  obs::MetricId recovery_checkpoint_updates =
+      obs::MetricId::intern("recovery.checkpoint_updates");
+  obs::MetricId recovery_gap_updates =
+      obs::MetricId::intern("recovery.gap_updates");
+};
+
+const ClusterMetrics& cluster_metrics() {
+  static const ClusterMetrics m;
+  return m;
+}
+
+/// The deployment's cluster-level Meter; the null sink when observability
+/// is off.
+obs::Meter cluster_meter(obs::Observability* o) {
+  return o == nullptr ? obs::Meter() : o->cluster_meter();
+}
+
+/// `endpoint`'s group rank; members.size() when it is not a member.
+std::uint32_t rank_of(const std::vector<NodeId>& members, NodeId endpoint) {
+  return static_cast<std::uint32_t>(
+      std::find(members.begin(), members.end(), endpoint) - members.begin());
+}
+
+/// Fold `u` into a union of logs: the first copy of a key is kept, with
+/// its invalidation flag OR'd across every copy (resolution may have
+/// reached only part of a group).
+void merge_into(std::map<replica::UpdateKey, replica::Update>& merged,
+                replica::Update u) {
+  const bool invalidated = u.invalidated;
+  auto [it, inserted] = merged.emplace(u.key, std::move(u));
+  if (!inserted && invalidated) it->second.invalidated = true;
+}
+
+}  // namespace
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     : config_(std::move(config)),
@@ -30,21 +94,18 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     sim_.set_metrics(obs_->cluster_meter());
     if (batching_ != nullptr) batching_->set_metrics(obs_->cluster_meter());
   }
-  services_.reserve(config_.endpoints);
+  services_.resize(config_.endpoints);
   incarnations_.assign(config_.endpoints, 0);
-  checkpoint_timers_.assign(config_.endpoints, 0);
   for (NodeId n = 0; n < config_.endpoints; ++n) {
     ring_.add_node(n);
-    services_.push_back(std::make_unique<core::IdeaService>(
-        n, edge(), mix64(config_.seed ^ (0x5E4D1CEULL + n))));
-    arm_checkpoint_timer(n);
+    start_service(n);
   }
   router_ = std::make_unique<RequestRouter>(*this);
   if (config_.adapt.enabled) {
     controller_ = std::make_unique<adapt::ConsistencyController>(
         sim_, config_.adapt, obs_.get());
-    // The detector probe: what consistency level the coordinator's stack
-    // currently attaches to the file (1.0 = fully consistent).
+    // The detector probe: what consistency level the acting coordinator's
+    // stack currently attaches to the file (1.0 = fully consistent).
     controller_->set_level_probe(
         [this](FileId file) { return router_->level(file); });
     controller_->start();
@@ -68,6 +129,27 @@ std::vector<NodeId> ShardedCluster::endpoints() const {
     if (services_[n] != nullptr) out.push_back(n);
   }
   return out;
+}
+
+void ShardedCluster::start_service(NodeId endpoint) {
+  services_[endpoint] = std::make_unique<core::IdeaService>(
+      endpoint, edge(),
+      mix64(config_.seed ^ (0x5E4D1CEULL + endpoint) ^
+            (static_cast<std::uint64_t>(incarnations_[endpoint]) << 40)));
+  arm_checkpoint_timer(endpoint);
+}
+
+std::vector<FileId> ShardedCluster::sorted_files(NodeId member) const {
+  std::vector<FileId> placed;
+  placed.reserve(files_.size());
+  for (const auto& [file, group] : files_) {
+    if (member == kNoNode ||
+        rank_of(group.members, member) < group.members.size()) {
+      placed.push_back(file);
+    }
+  }
+  std::sort(placed.begin(), placed.end());
+  return placed;
 }
 
 void ShardedCluster::place(FileId first, std::uint32_t count) {
@@ -132,39 +214,29 @@ ShardedCluster::FileGroup& ShardedCluster::open_group(
 }
 
 core::IdeaNode* ShardedCluster::ensure_open(FileId file) {
-  auto it = files_.find(file);
-  if (it != files_.end()) {
-    // Acting coordinator: the lowest alive rank (rank 0 unless crashed).
-    for (NodeId member : it->second.members) {
-      if (services_[member] != nullptr) {
-        return services_[member]->find(file);
+  NodeId acting = coordinator(file).second;
+  if (acting == kNoNode && !is_placed(file)) {
+    const std::vector<NodeId> members = group_of(file);
+    if (members.empty()) return nullptr;
+    // Refuse to adopt a file someone opened directly on a service: its
+    // stack runs in endpoint-id space over the shared transport, so
+    // wiring a rank-space replication group around it would misroute
+    // every push (open_via's keep-first would hand us that node as is).
+    for (NodeId member : members) {
+      if (services_[member] != nullptr &&
+          services_[member]->find(file) != nullptr) {
+        return nullptr;
       }
     }
-    return nullptr;  // every member is down
+    open_group(file, members);
+    acting = coordinator(file).second;
   }
-  const std::vector<NodeId> members = group_of(file);
-  if (members.empty()) return nullptr;
-  // Refuse to adopt a file someone opened directly on a service: its
-  // stack runs in endpoint-id space over the shared transport, so wiring
-  // a rank-space replication group around it would misroute every push
-  // (open_via's keep-first would hand us that node unchanged).
-  for (NodeId member : members) {
-    if (services_[member] != nullptr &&
-        services_[member]->find(file) != nullptr) {
-      return nullptr;
-    }
-  }
-  FileGroup& group = open_group(file, members);
-  for (NodeId member : group.members) {
-    if (services_[member] != nullptr) return services_[member]->find(file);
-  }
-  return nullptr;
+  return acting == kNoNode ? nullptr : services_[acting]->find(file);
 }
 
 MembershipChange ShardedCluster::add_endpoint() {
   const HashRing before = ring_;
   NodeId id;
-  std::uint32_t incarnation = 0;
   if (!free_ids_.empty()) {
     // Reuse the smallest freed id under a bumped incarnation: long-lived
     // churn keeps the id space dense.  Stale traffic addressed to the old
@@ -172,31 +244,26 @@ MembershipChange ShardedCluster::add_endpoint() {
     // rebuilt under a new group epoch when it left.
     id = *free_ids_.begin();
     free_ids_.erase(free_ids_.begin());
-    incarnation = ++incarnations_[id];
+    ++incarnations_[id];
   } else {
     id = static_cast<NodeId>(services_.size());
     services_.push_back(nullptr);
     incarnations_.push_back(0);
-    checkpoint_timers_.push_back(0);
   }
   // Grow the latency topology and the transport's per-node state first:
   // the new endpoint's IdeaService attaches to the transport immediately.
   // (No-ops for a reused id — its coordinates and clock skew persist.)
   latency_->ensure_nodes(id + 1);
   sim_transport_->ensure_node(id);
-  ring_.add_node(id, incarnation);
-  services_[id] = std::make_unique<core::IdeaService>(
-      id, edge(),
-      mix64(config_.seed ^ (0x5E4D1CEULL + id) ^
-            (static_cast<std::uint64_t>(incarnation) << 40)));
+  ring_.add_node(id, incarnations_[id]);
+  start_service(id);
   if (obs_ != nullptr) {
     obs_->ensure_endpoints(static_cast<std::uint32_t>(services_.size()));
   }
-  arm_checkpoint_timer(id);
 
   MembershipChange change;
   change.endpoint = id;
-  change.incarnation = incarnation;
+  change.incarnation = incarnations_[id];
   migrate_changed_groups(before, change);
   return change;
 }
@@ -220,15 +287,12 @@ MembershipChange ShardedCluster::remove_endpoint(NodeId endpoint) {
 
 void ShardedCluster::migrate_changed_groups(const HashRing& before,
                                             MembershipChange& change) {
-  // files_ is hash-ordered; walk the placed set sorted so migration (and
-  // therefore every streaming send) happens in a reproducible order.
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) placed.push_back(file);
-  std::sort(placed.begin(), placed.end());
-
+  // Sorted walk: migration (and therefore every streaming send) happens
+  // in a reproducible order.
+  const std::vector<FileId> placed = sorted_files();
   change.rebalance =
       HashRing::rebalance(before, ring_, placed, config_.replication);
+  const obs::Meter meter = cluster_meter(obs_.get());
 
   for (FileId file : placed) {
     auto it = files_.find(file);
@@ -241,14 +305,11 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     //    Invalidation flags survive by OR (resolution may have reached
     //    only part of the old group when the membership change hit).
     std::map<replica::UpdateKey, replica::Update> merged;
-    for (NodeId member : it->second.members) {
-      if (services_[member] == nullptr) continue;  // crashed: state is gone
-      core::IdeaNode* node = services_[member]->find(file);
-      if (node == nullptr) continue;
+    for (std::uint32_t rank = 0; rank < it->second.members.size(); ++rank) {
+      core::IdeaNode* node = replica_at_rank(file, rank);
+      if (node == nullptr) continue;  // crashed: its state is gone
       for (replica::Update& u : node->store().export_log()) {
-        const bool invalidated = u.invalidated;
-        auto [mit, inserted] = merged.emplace(u.key, std::move(u));
-        if (!inserted && invalidated) mit->second.invalidated = true;
+        merge_into(merged, std::move(u));
       }
     }
     // Parked hints may hold the *only* surviving copy of a sloppy-quorum
@@ -259,22 +320,13 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     // member vector is only needed to decide, below, which hints still
     // owe a crashed member of the *new* group a hand-off.
     std::vector<replica::HintedWrite> parked = hints_.take_file(file);
-    for (const replica::HintedWrite& h : parked) {
-      const bool invalidated = h.update.invalidated;
-      auto [mit, inserted] = merged.emplace(h.update.key, h.update);
-      if (!inserted && invalidated) mit->second.invalidated = true;
-    }
+    for (const replica::HintedWrite& h : parked) merge_into(merged, h.update);
     std::vector<replica::Update> snapshot;
     snapshot.reserve(merged.size());
     for (auto& [key, u] : merged) snapshot.push_back(std::move(u));
 
-    // 2. Tear down the old group epoch (agents first: they unroute from
-    //    the dispatchers the node teardown destroys).
-    it->second.sync.clear();
-    for (NodeId member : it->second.members) {
-      if (services_[member] != nullptr) services_[member]->close(file);
-    }
-    files_.erase(it);
+    // 2. Tear down the old group epoch.
+    close_group(it);
 
     if (members.empty()) {
       // Last endpoint left; the file is unplaced and its parked hints
@@ -288,7 +340,6 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     //    its writer-0 sequence so routed writes continue the old history),
     //    then streams it to the other ranks over the wire.
     FileGroup& group = open_group(file, std::move(members));
-    if (router_ != nullptr) router_->forget_file(file);
     // Re-mint the parked hints against the new membership: a hint whose
     // target is a still-crashed member of the new group keeps its durable
     // hand-off obligation (at a fresh stand-in outside the new group);
@@ -298,8 +349,7 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     for (replica::HintedWrite& h : parked) {
       const bool still_owed =
           is_crashed(h.target) &&
-          std::find(group.members.begin(), group.members.end(), h.target) !=
-              group.members.end();
+          rank_of(group.members, h.target) < group.members.size();
       if (!still_owed) {
         ++retired;
         continue;
@@ -309,33 +359,21 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
       hints_.re_mint(std::move(h));
     }
     hints_.retire(retired);
-    // The adopting rank is the lowest alive one: rank 0 unless that
-    // member is crashed, in which case the next alive rank takes the
-    // snapshot (rank space is multi-writer, so this is safe).
-    std::size_t adopter = 0;
-    while (adopter < group.sync.size() && group.sync[adopter] == nullptr) {
-      ++adopter;
-    }
-    if (!snapshot.empty() && adopter < group.sync.size()) {
-      core::IdeaNode* coordinator =
-          services_[group.members[adopter]]->find(file);
-      coordinator->store().import_log(snapshot);
+    // The acting coordinator adopts the snapshot: rank 0 unless that
+    // member is crashed.
+    const auto [adopter, adopter_ep] = coordinator(file);
+    if (!snapshot.empty() && adopter != nullptr) {
+      replica(file, adopter_ep)->store().import_log(snapshot);
       change.state_updates += snapshot.size();
-      const std::size_t streamed =
-          group.sync[adopter]->stream_state(snapshot);
+      const std::size_t streamed = adopter->stream_state(snapshot);
       change.stream_messages += streamed;
-      if (obs_ != nullptr) {
-        obs::Meter meter = obs_->cluster_meter();
-        meter.add(obs::MetricId::intern("shard.migrate.state_updates"),
-                  snapshot.size());
-        meter.add(obs::MetricId::intern("shard.migrate.stream_messages"),
-                  streamed);
-      }
+      meter.add(cluster_metrics().migrate_state_updates, snapshot.size());
+      meter.add(cluster_metrics().migrate_stream_messages, streamed);
       // Until the stream lands, the other ranks of the new group are
       // cold; tell the router so policy reads pin to the already-warm
       // new coordinator for the window.  Two one-way trips (batching
       // flush + delivery) plus slack bounds the in-flight time.
-      if (router_ != nullptr && group.members.size() > 1) {
+      if (group.members.size() > 1) {
         SimDuration horizon = 0;
         for (std::size_t rank = 1; rank < group.members.size(); ++rank) {
           horizon = std::max(horizon, latency_->mean(group.members.front(),
@@ -343,17 +381,12 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
         }
         const SimDuration window = 2 * horizon + msec(100);
         router_->note_migration(file, sim_.now() + window);
-        if (obs_ != nullptr) {
-          obs_->cluster_meter().observe(
-              obs::MetricId::intern("shard.migration_pin_us"),
-              static_cast<std::uint64_t>(window));
-        }
+        meter.observe(cluster_metrics().migration_pin_us,
+                      static_cast<std::uint64_t>(window));
       }
     }
     ++change.files_migrated;
-    if (obs_ != nullptr) {
-      obs_->cluster_meter().add(obs::MetricId::intern("shard.migrations"));
-    }
+    meter.add(cluster_metrics().migrations);
   }
 }
 
@@ -367,58 +400,52 @@ NodeId ShardedCluster::stand_in_for(FileId file, NodeId target) const {
       group.size() + crashed_.size() + 1);
   std::vector<NodeId> candidates;
   for (NodeId candidate : ring_.replicas(file, want)) {
-    if (!has_endpoint(candidate)) continue;
-    if (std::find(group.begin(), group.end(), candidate) != group.end()) {
-      continue;
+    if (has_endpoint(candidate) && rank_of(group, candidate) == group.size()) {
+      candidates.push_back(candidate);
     }
-    candidates.push_back(candidate);
   }
   if (candidates.empty()) return kNoNode;
   // Spread distinct crashed members over distinct stand-ins (when there
   // are enough): the target's group rank indexes the successor list, so
   // one sloppy write with two dark members parks its two hints at two
   // different endpoints, like Dynamo's per-node hinted replicas.
-  const auto rank = static_cast<std::size_t>(
-      std::find(group.begin(), group.end(), target) - group.begin());
-  return candidates[rank % candidates.size()];
+  return candidates[rank_of(group, target) % candidates.size()];
 }
 
 void ShardedCluster::queue_hint(FileId file, NodeId target, NodeId stand_in,
                                 const replica::Update& update) {
   hints_.enqueue(replica::HintedWrite{stand_in, target, file, update,
                                       sim_.now()});
-  if (obs_ != nullptr) {
-    obs::Meter meter = obs_->cluster_meter();
-    meter.add(obs::MetricId::intern("hints.queued"));
-    meter.set_gauge(obs::MetricId::intern("hints.queue_depth"),
-                    static_cast<std::int64_t>(hints_.depth()));
-  }
+  const obs::Meter meter = cluster_meter(obs_.get());
+  meter.add(cluster_metrics().hints_queued);
+  meter.set_gauge(cluster_metrics().hints_queue_depth,
+                  static_cast<std::int64_t>(hints_.depth()));
 }
 
-bool ShardedCluster::close_file(FileId file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) return false;
-  // Sync agents and nodes unhook from each other's dispatcher; drop the
-  // agents first, then the stacks, then the group transports they used.
+void ShardedCluster::close_group(
+    std::unordered_map<FileId, FileGroup>::iterator it) {
+  const FileId file = it->first;
   it->second.sync.clear();
   for (NodeId member : it->second.members) {
     if (services_[member] != nullptr) services_[member]->close(file);
   }
   files_.erase(it);
-  if (router_ != nullptr) router_->forget_file(file);
+  router_->forget_file(file);
+}
+
+bool ShardedCluster::close_file(FileId file) {
+  auto it = files_.find(file);
+  if (it == files_.end()) return false;
+  close_group(it);
   hints_.drop_file(file);
   return true;
 }
 
 core::IdeaNode* ShardedCluster::replica(FileId file, NodeId endpoint) {
-  auto it = files_.find(file);
-  if (it == files_.end()) return nullptr;
-  const auto& members = it->second.members;
-  if (std::find(members.begin(), members.end(), endpoint) == members.end()) {
-    return nullptr;
-  }
-  if (services_[endpoint] == nullptr) return nullptr;  // crashed member
-  return services_[endpoint]->find(file);
+  const std::vector<NodeId>* members = members_of(file);
+  return members == nullptr
+             ? nullptr
+             : replica_at_rank(file, rank_of(*members, endpoint));
 }
 
 core::IdeaNode* ShardedCluster::replica_at_rank(FileId file,
@@ -428,8 +455,8 @@ core::IdeaNode* ShardedCluster::replica_at_rank(FileId file,
     return nullptr;
   }
   const NodeId endpoint = it->second.members[rank];
-  if (services_[endpoint] == nullptr) return nullptr;  // crashed member
-  return services_[endpoint]->find(file);
+  // Null for a crashed member.
+  return has_endpoint(endpoint) ? services_[endpoint]->find(file) : nullptr;
 }
 
 ReplicaSyncAgent* ShardedCluster::sync_agent(FileId file,
@@ -440,21 +467,16 @@ ReplicaSyncAgent* ShardedCluster::sync_agent(FileId file,
 }
 
 bool ShardedCluster::converged(FileId file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) return true;  // nothing placed, nothing diverged
-  std::uint64_t digest = 0;
-  bool first = true;
-  for (NodeId member : it->second.members) {
-    if (services_[member] == nullptr) continue;  // crashed: judge the living
-    core::IdeaNode* node = services_[member]->find(file);
+  const std::vector<NodeId>* members = members_of(file);
+  if (members == nullptr) return true;  // nothing placed, nothing diverged
+  std::optional<std::uint64_t> digest;
+  for (std::uint32_t rank = 0; rank < members->size(); ++rank) {
+    if (!has_endpoint((*members)[rank])) continue;  // crashed: judge the living
+    core::IdeaNode* node = replica_at_rank(file, rank);
     if (node == nullptr) return false;
     const std::uint64_t d = node->store().content_digest();
-    if (first) {
-      digest = d;
-      first = false;
-    } else if (d != digest) {
-      return false;
-    }
+    if (digest.has_value() && d != *digest) return false;
+    digest = d;
   }
   return true;
 }
@@ -481,43 +503,29 @@ void ShardedCluster::cancel_checkpoint_timer(NodeId endpoint) {
 void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
   if (engine_ == nullptr || !has_endpoint(endpoint)) return;
   // Sorted file walk so the durable record/epoch stream replays
-  // identically under a fixed seed (files_ is hash-ordered).
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) {
-    if (std::find(group.members.begin(), group.members.end(), endpoint) !=
-        group.members.end()) {
-      placed.push_back(file);
-    }
-  }
-  std::sort(placed.begin(), placed.end());
-
+  // identically under a fixed seed.
+  const std::vector<FileId> placed = sorted_files(endpoint);
   std::vector<replica::ReplicaRef> refs;
   refs.reserve(placed.size());
   for (FileId file : placed) {
-    const FileGroup& group = files_.find(file)->second;
     core::IdeaNode* node = services_[endpoint]->find(file);
     if (node == nullptr) continue;
-    refs.push_back({file, &node->store(), &group.members});
+    refs.push_back({file, &node->store(), members_of(file)});
   }
   const replica::CheckpointRunStats run = engine_->checkpoint(
       endpoint, incarnations_[endpoint], refs, sim_.now(), storage_);
 
-  if (obs_ != nullptr) {
-    obs::Meter meter = obs_->endpoint_meter(endpoint);
-    meter.add(obs::MetricId::intern("ckpt.runs"));
-    meter.add(obs::MetricId::intern("ckpt.files_written"),
-              run.files_written);
-    meter.add(obs::MetricId::intern("ckpt.files_clean"), run.files_clean);
-    meter.add(obs::MetricId::intern("ckpt.updates_written"),
-              run.updates_written);
-    meter.add(obs::MetricId::intern("ckpt.bytes_written"),
-              run.bytes_written);
-    const std::uint64_t offered = run.files_written + run.files_clean;
-    if (offered > 0) {
-      meter.observe(obs::MetricId::intern("ckpt.dirty_ratio_pct"),
-                    100 * run.files_written / offered);
-    }
+  const obs::Meter meter =
+      obs_ == nullptr ? obs::Meter() : obs_->endpoint_meter(endpoint);
+  const ClusterMetrics& m = cluster_metrics();
+  meter.add(m.ckpt_runs);
+  meter.add(m.ckpt_files_written, run.files_written);
+  meter.add(m.ckpt_files_clean, run.files_clean);
+  meter.add(m.ckpt_updates_written, run.updates_written);
+  meter.add(m.ckpt_bytes_written, run.bytes_written);
+  const std::uint64_t offered = run.files_written + run.files_clean;
+  if (offered > 0) {
+    meter.observe(m.ckpt_dirty_ratio_pct, 100 * run.files_written / offered);
   }
 }
 
@@ -537,28 +545,21 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   // the GroupTransports stay alive with a null sink because the node
   // destructors cancel their timers through them.  Sorted walk for a
   // reproducible report.
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) placed.push_back(file);
-  std::sort(placed.begin(), placed.end());
-  for (FileId file : placed) {
+  for (FileId file : sorted_files(endpoint)) {
     FileGroup& group = files_.find(file)->second;
-    for (std::size_t rank = 0; rank < group.members.size(); ++rank) {
-      if (group.members[rank] != endpoint || group.sync[rank] == nullptr) {
-        continue;
-      }
-      ++report.groups_affected;
-      core::IdeaNode* node = services_[endpoint]->find(file);
-      if (node != nullptr) {
-        report.volatile_updates_lost += node->store().update_count();
-      }
-      group.sync[rank].reset();
-      group.transports[rank]->set_sink(nullptr);
-      // A trace parked on this file waiting for a heal may have been
-      // watching the replica that just died; the restart rebuilds the
-      // group under a new epoch, so the old causal thread is moot.
-      if (obs_ != nullptr) obs_->clear_repair_trace(file);
+    const std::uint32_t rank = rank_of(group.members, endpoint);
+    if (group.sync[rank] == nullptr) continue;
+    ++report.groups_affected;
+    core::IdeaNode* node = services_[endpoint]->find(file);
+    if (node != nullptr) {
+      report.volatile_updates_lost += node->store().update_count();
     }
+    group.sync[rank].reset();
+    group.transports[rank]->set_sink(nullptr);
+    // A trace parked on this file waiting for a heal may have been
+    // watching the replica that just died; the restart rebuilds the
+    // group under a new epoch, so the old causal thread is moot.
+    if (obs_ != nullptr) obs_->clear_repair_trace(file);
   }
   services_[endpoint].reset();
   // The endpoint's freshness hints describe volatile state that no
@@ -567,9 +568,7 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   if (router_ != nullptr) router_->forget_endpoint(endpoint);
   crashed_.insert(endpoint);
   crashed_at_[endpoint] = sim_.now();
-  if (obs_ != nullptr) {
-    obs_->cluster_meter().add(obs::MetricId::intern("crash.crashes"));
-  }
+  cluster_meter(obs_.get()).add(cluster_metrics().crashes);
   return report;
 }
 
@@ -581,32 +580,15 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   crashed_.erase(endpoint);
   crashed_at_.erase(endpoint);
   sim_transport_->revive_node(endpoint, sim_.now());
-  const std::uint32_t incarnation = ++incarnations_[endpoint];
-  report.incarnation = incarnation;
-  services_[endpoint] = std::make_unique<core::IdeaService>(
-      endpoint, edge(),
-      mix64(config_.seed ^ (0x5E4D1CEULL + endpoint) ^
-            (static_cast<std::uint64_t>(incarnation) << 40)));
-  arm_checkpoint_timer(endpoint);
+  report.incarnation = ++incarnations_[endpoint];
+  start_service(endpoint);
 
   // Rebuild every group the endpoint belongs to under a fresh epoch, in
   // sorted file order so the rebuild's sends replay deterministically.
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) {
-    if (std::find(group.members.begin(), group.members.end(), endpoint) !=
-        group.members.end()) {
-      placed.push_back(file);
-    }
-  }
-  std::sort(placed.begin(), placed.end());
-
-  for (FileId file : placed) {
+  for (FileId file : sorted_files(endpoint)) {
     auto it = files_.find(file);
     const std::vector<NodeId> members = it->second.members;
-    const auto self_rank = static_cast<NodeId>(
-        std::find(members.begin(), members.end(), endpoint) -
-        members.begin());
+    const NodeId self_rank = rank_of(members, endpoint);
 
     // 1. Capture each survivor's own log.  Survivors re-import exactly
     //    what they held (NOT the union): the restarted member's
@@ -615,8 +597,9 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
     std::map<NodeId, std::vector<replica::Update>> survivor_logs;
     std::size_t survivor_max_updates = 0;
     for (NodeId member : members) {
-      if (member == endpoint || services_[member] == nullptr) continue;
-      core::IdeaNode* node = services_[member]->find(file);
+      // Null for crashed members and for the restarting one itself (its
+      // fresh service does not host the file until the rebuild below).
+      core::IdeaNode* node = replica(file, member);
       if (node == nullptr) continue;
       auto log = node->store().export_log();
       survivor_max_updates = std::max(survivor_max_updates, log.size());
@@ -652,27 +635,23 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
 
     // 4. Rebuild under a new group epoch: stale pre-crash traffic fences
     //    at the GroupTransports.
-    it->second.sync.clear();
-    for (NodeId member : members) {
-      if (services_[member] != nullptr) services_[member]->close(file);
-    }
-    files_.erase(it);
+    close_group(it);
     open_group(file, members);
-    if (router_ != nullptr) router_->forget_file(file);
 
     // 5. Survivors resume exactly where they were.
     for (const auto& [member, log] : survivor_logs) {
-      core::IdeaNode* node = services_[member]->find(file);
+      core::IdeaNode* node = replica(file, member);
       if (node != nullptr) node->store().import_log(log);
     }
 
     // 6. The restarted member = durable checkpoint + own-writer
     //    continuation; whatever is still missing is the O(delta) gap
     //    anti-entropy streams.
-    core::IdeaNode* self = services_[endpoint]->find(file);
+    core::IdeaNode* self = replica(file, endpoint);
     std::size_t restored = 0;
     if (ckpt != nullptr && self != nullptr) {
-      const replica::ReplicaStore::ImportReport r = self->store().import_log(ckpt->updates);
+      const replica::ReplicaStore::ImportReport r =
+          self->store().import_log(ckpt->updates);
       restored += r.applied;
       ++report.checkpoint_files;
       report.checkpoint_updates += r.applied;
@@ -681,7 +660,8 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       std::vector<replica::Update> batch;
       batch.reserve(reconcile.size());
       for (const auto& [key, u] : reconcile) batch.push_back(u);
-      const replica::ReplicaStore::ImportReport r = self->store().import_log(batch);
+      const replica::ReplicaStore::ImportReport r =
+          self->store().import_log(batch);
       report.reconciled_updates += r.applied;
       restored += r.applied;
     }
@@ -697,6 +677,8 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   // duplicates — typically all of them when the coordinator itself wrote
   // the updates), then a targeted digest pushes the delta to the
   // restarted rank over the ordinary shard.digest/repair wire path.
+  const obs::Meter meter = cluster_meter(obs_.get());
+  const ClusterMetrics& m = cluster_metrics();
   std::vector<replica::HintedWrite> drained = hints_.drain_for(endpoint);
   if (!drained.empty()) {
     std::map<FileId, std::vector<replica::Update>> by_file;
@@ -704,43 +686,28 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       by_file[h.file].push_back(std::move(h.update));
     }
     for (auto& [file, batch] : by_file) {
-      if (files_.find(file) == files_.end()) continue;  // closed meanwhile
+      // Unplaced (closed meanwhile) or every member down: nobody to hand
+      // the batch to.
       const auto [agent, coord_ep] = coordinator(file);
       if (agent == nullptr) continue;
-      core::IdeaNode* node = services_[coord_ep]->find(file);
-      if (node == nullptr) continue;
       const replica::ReplicaStore::ImportReport r =
-          node->store().import_log(batch);
+          replica(file, coord_ep)->store().import_log(batch);
       report.hinted_updates += batch.size();
       report.hinted_duplicates += r.duplicates;
       if (coord_ep != endpoint) {
-        const std::vector<NodeId>& members = files_.find(file)->second.members;
-        const auto self_rank = static_cast<NodeId>(
-            std::find(members.begin(), members.end(), endpoint) -
-            members.begin());
-        agent->anti_entropy_with(self_rank);
+        agent->anti_entropy_with(rank_of(*members_of(file), endpoint));
       }
     }
-    if (obs_ != nullptr) {
-      obs::Meter meter = obs_->cluster_meter();
-      meter.add(obs::MetricId::intern("hints.drained"), drained.size());
-      meter.add(obs::MetricId::intern("hints.drain_duplicates"),
-                report.hinted_duplicates);
-      meter.set_gauge(obs::MetricId::intern("hints.queue_depth"),
-                      static_cast<std::int64_t>(hints_.depth()));
-    }
+    meter.add(m.hints_drained, drained.size());
+    meter.add(m.hints_drain_duplicates, report.hinted_duplicates);
+    meter.set_gauge(m.hints_queue_depth,
+                    static_cast<std::int64_t>(hints_.depth()));
   }
 
-  if (obs_ != nullptr) {
-    obs::Meter meter = obs_->cluster_meter();
-    meter.add(obs::MetricId::intern("crash.restarts"));
-    meter.observe(obs::MetricId::intern("recovery.downtime_us"),
-                  static_cast<std::uint64_t>(report.downtime));
-    meter.observe(obs::MetricId::intern("recovery.checkpoint_updates"),
-                  report.checkpoint_updates);
-    meter.observe(obs::MetricId::intern("recovery.gap_updates"),
-                  report.gap_updates);
-  }
+  meter.add(m.restarts);
+  meter.observe(m.downtime_us, static_cast<std::uint64_t>(report.downtime));
+  meter.observe(m.recovery_checkpoint_updates, report.checkpoint_updates);
+  meter.observe(m.recovery_gap_updates, report.gap_updates);
   return report;
 }
 

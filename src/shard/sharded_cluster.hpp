@@ -79,9 +79,8 @@ struct ShardedClusterConfig {
   /// this stops informing bounded-staleness replica selection (the serve
   /// path's exact bound check was always the safety net — this keeps a
   /// replica hinted fresh once from attracting reads after it diverges).
-  /// 0 disables decay (pre-fix behavior, for A/B in tests).  Routing
-  /// consults hints without sending messages or drawing RNG, so the
-  /// default does not perturb write/AE-only replays.
+  /// Routing consults hints without sending messages or drawing RNG, so
+  /// the default does not perturb write/AE-only replays.
   SimDuration freshness_hint_ttl = sec(10);
   /// Detection-driven adaptive consistency (see adapt/controller.hpp).
   /// Off by default: no controller is constructed, routing is
@@ -271,7 +270,7 @@ class ShardedCluster {
   void place(FileId first, std::uint32_t count);
 
   /// Ensure one file is open on its whole group (idempotent); returns the
-  /// coordinator's replica stack, nullptr on an empty ring.
+  /// acting coordinator's stack, nullptr on an empty ring or all-dark group.
   core::IdeaNode* ensure_open(FileId file);
 
   /// Tear the file down on every group member.  Unknown files: no-op.
@@ -322,8 +321,10 @@ class ShardedCluster {
 
   /// The acting coordinator's sync agent and endpoint id in one placement
   /// lookup (the router's per-op fast path): the lowest alive rank — rank
-  /// 0 unless it crashed, in which case writes fail over down the rank
-  /// order (rank space is multi-writer, so this is safe).  {nullptr,
+  /// 0 unless it crashed, in which case the role fails over down the rank
+  /// order (rank space is multi-writer, so this is safe).  This is the one
+  /// rule: placement, migration, writes, reads, replica selection and the
+  /// controller's level probe all ask it who coordinates.  {nullptr,
   /// kNoNode} when the file is not placed or every member is down.
   [[nodiscard]] std::pair<ReplicaSyncAgent*, NodeId> coordinator(
       FileId file) {
@@ -406,6 +407,20 @@ class ShardedCluster {
   /// ranks drops at the transport, and restart_endpoint() fills the
   /// slots by rebuilding the group.
   FileGroup& open_group(FileId file, std::vector<NodeId> members);
+
+  /// The one group teardown (close, migration, restart): sync agents
+  /// first (they unroute from the dispatchers the node teardown
+  /// destroys), then each live member's stack, then the group and its
+  /// transports; the router forgets the file.
+  void close_group(std::unordered_map<FileId, FileGroup>::iterator it);
+
+  /// Stand up `endpoint`'s IdeaService under its current incarnation
+  /// (mixed into the seed above bit 40) and arm its checkpoint timer.
+  void start_service(NodeId endpoint);
+
+  /// The placed files in ascending id order (files_ is hash-ordered),
+  /// optionally only the groups `member` belongs to.
+  [[nodiscard]] std::vector<FileId> sorted_files(NodeId member = kNoNode) const;
 
   /// Arm/cancel the per-endpoint periodic checkpoint timer.
   void arm_checkpoint_timer(NodeId endpoint);

@@ -9,7 +9,11 @@
 /// and recovery must be invisible in the converged state.  A second
 /// scenario pins the O(delta) property: with a durable checkpoint the
 /// restarted replica heals only the checkpoint→crash gap over the wire,
-/// while the no-checkpoint control re-streams the whole log.
+/// while the no-checkpoint control re-streams the whole log.  Two more
+/// pin the group lifecycle around a dark slot: with rank 0 down, the
+/// controller's level probe and bounded-read replica selection follow
+/// the acting coordinator, and closing a group with a crashed member and
+/// a parked hint leaves nothing behind for the restart to rebuild.
 
 #include <gtest/gtest.h>
 
@@ -345,6 +349,122 @@ TEST(CrashRecoveryTest, CheckpointEnginesAndDurableStorageSemantics) {
   cluster.run_for(sec(2) + msec(100));
   EXPECT_NE(storage.latest(group[1], kFile), nullptr);
   EXPECT_NE(storage.latest(group[2], kFile), nullptr);
+}
+
+TEST(CrashRecoveryTest, ActingCoordinatorDrivesLevelProbeAndReplicaSelection) {
+  // With rank 0 down, the controller's level probe and bounded-read
+  // replica selection must both read the acting coordinator (rank 1),
+  // like writes and strong reads do — not the dark rank 0 (which reads as
+  // "fully consistent" and "every replica at lag 0").
+  constexpr FileId kFile = 6;
+  ShardedClusterConfig cfg = crash_config(
+      515, replica::CheckpointEngineKind::kNone, /*loss_rate=*/0.0);
+  cfg.anti_entropy_period = 0;  // nothing heals the divergence below
+  cfg.idea.ransub.epoch = msec(500);  // the top layer forms quickly
+  ShardedCluster cluster(cfg);
+  cluster.ensure_open(kFile);
+  const std::vector<NodeId> group = cluster.group_of(kFile);
+  ASSERT_EQ(group.size(), 3u);
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(session.put(kFile, "base" + std::to_string(i), 1.0).ok());
+    cluster.run_for(msec(500));
+  }
+  // The whole group holds the base and has surfaced as the top layer.
+  ASSERT_EQ(cluster.replica(kFile, group[1])->top_layer().size(), 3u);
+
+  cluster.crash_endpoint(group[0]);
+  ASSERT_EQ(cluster.coordinator(kFile).second, group[1]);
+  // Under a full-loss window rank 1 coordinates four writes rank 2 never
+  // receives, and rank 2 applies one of its own that rank 1 never sees:
+  // rank 2 ends several versions behind, and the ranks are concurrent.
+  const SimTime now = cluster.sim().now();
+  cluster.transport().add_drop_window(now, now + msec(200));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session.put(kFile, "acting" + std::to_string(i), 1.0).ok());
+  }
+  ReplicaSyncAgent* rank2 = cluster.sync_agent(kFile, 2);
+  ASSERT_NE(rank2, nullptr);
+  ASSERT_TRUE(rank2->put("rank2", 1.0));
+  cluster.run_for(msec(300));
+
+  core::IdeaNode* acting = cluster.replica(kFile, group[1]);
+  core::IdeaNode* behind = cluster.replica(kFile, group[2]);
+  ASSERT_NE(acting, nullptr);
+  ASSERT_NE(behind, nullptr);
+  const std::uint64_t behind_total = behind->store().evv().counts().total();
+  ASSERT_GE(acting->store().evv().counts().total(), behind_total + 3);
+  cluster.router().note_freshness(kFile, group[2], behind_total,
+                                  cluster.sim().now());
+
+  // A bounded read from rank 2's own endpoint: rank 2 is nearest, but
+  // the live hint shows it lagging the acting coordinator, so selection
+  // goes to rank 1 directly instead of probing rank 2 and escalating.
+  const client::ReadResult read = cluster.router().read(
+      kFile, client::ConsistencyLevel::bounded_staleness(1), group[2]);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.served_by, group[1]);
+  EXPECT_FALSE(read.escalated);
+  EXPECT_EQ(cluster.router().stats().bounded_escalations, 0u);
+
+  // Detection at the acting coordinator sees rank 2's concurrent update,
+  // so its level drops below 1.0; the router's probe must report it.
+  acting->probe({});
+  cluster.run_for(sec(2));
+  ASSERT_LT(acting->current_level(), 1.0);
+  EXPECT_EQ(cluster.router().level(kFile),
+            cluster.replica(kFile, cluster.coordinator(kFile).second)
+                ->current_level());
+}
+
+TEST(CrashRecoveryTest, CloseFileWhileAMemberIsDownThenRestart) {
+  // Closing a group with a dark slot and a parked hint tears down only
+  // the live ranks, drops the hint, and leaves nothing for the restart
+  // to rebuild; re-opening builds a fresh group on the restarted member.
+  constexpr FileId kFile = 4;
+  ShardedCluster cluster(crash_config(
+      313, replica::CheckpointEngineKind::kIncremental, /*loss_rate=*/0.0));
+  client::SessionOptions options;
+  options.write_concern = client::WriteConcern::all();
+  client::ClientSession session(cluster, options);
+  ASSERT_TRUE(session.open(kFile));
+  const std::vector<NodeId> group = cluster.group_of(kFile);
+  ASSERT_EQ(group.size(), 3u);
+  cluster.crash_endpoint(group[2]);
+
+  // w = all with one member dark parks a hint for it at a stand-in.
+  const client::OpHandle<client::WriteAck> h =
+      session.put(kFile, "parked", 1.0);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h->hinted, 1u);
+  ASSERT_EQ(cluster.hint_store().depth(), 1u);
+
+  ASSERT_TRUE(cluster.close_file(kFile));
+  EXPECT_FALSE(cluster.is_placed(kFile));
+  EXPECT_EQ(cluster.hint_store().depth(), 0u);
+  const std::size_t placed = cluster.placed_files();
+
+  const RecoveryReport rec = cluster.restart_endpoint(group[2]);
+  EXPECT_EQ(rec.endpoint, group[2]);
+  EXPECT_EQ(rec.files_recovered, 0u);
+  EXPECT_EQ(rec.hinted_updates, 0u);
+  EXPECT_EQ(cluster.placed_files(), placed);
+  EXPECT_EQ(cluster.hint_store().depth(), 0u);
+  cluster.run_for(sec(2));  // checkpoint passes and stale traffic
+
+  ASSERT_NE(cluster.ensure_open(kFile), nullptr);
+  ASSERT_NE(cluster.members_of(kFile), nullptr);
+  EXPECT_EQ(*cluster.members_of(kFile), group);
+  ASSERT_NE(cluster.replica(kFile, group[2]), nullptr);
+  EXPECT_EQ(cluster.coordinator(kFile).second, group[0]);
+  const client::OpHandle<client::WriteAck> after =
+      session.put(kFile, "reopened", 1.0);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->w_satisfied);
+  EXPECT_EQ(after->acks, 3u);
+  EXPECT_EQ(after->hinted, 0u);
 }
 
 }  // namespace
