@@ -18,6 +18,8 @@
 /// The `steals` column counts tasks run off their home worker (segment s
 /// is homed on worker s % threads); it is 0 at one thread.
 ///
+/// The JSON result is written only when `--json PATH` is given.
+///
 ///   $ ./parallel_scalability [--smoke] [--json BENCH_parallel.json]
 ///       [--endpoints 1000] [--files 4000] [--segments 8] [--sim-secs 5]
 ///       [--threads 1,2,4,8] [--reps 3] [--seed 2007]
@@ -245,8 +247,10 @@ int main(int argc, char** argv) {
     sweep[i].speedup = sweep.front().wall_s / sweep[i].wall_s;
   }
 
-  write_json(flags.get_string("json", "BENCH_parallel.json"), smoke, reps,
-             mc, sweep, digests_match);
+  if (flags.has("json")) {
+    write_json(flags.get_string("json", ""), smoke, reps, mc, sweep,
+               digests_match);
+  }
 
   if (!digests_match) {
     std::fprintf(stderr,

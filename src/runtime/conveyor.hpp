@@ -40,7 +40,6 @@ struct ConveyorStats {
   /// seal() waits on an undrained lane: 0 by construction, since a lane's
   /// slot is always drained the epoch after it is sealed.
   std::uint64_t lane_stalls = 0;
-  std::size_t max_packet = 0;  ///< Largest packet sealed.
 };
 
 template <typename T>
@@ -71,9 +70,7 @@ class Conveyor {
       assert(slot.empty() &&
              "lane sealed twice without a drain: every destination must "
              "begin every epoch");
-      ConveyorStats& s = stats_by_src_[src];
-      ++s.packets;
-      if (box.size() > s.max_packet) s.max_packet = box.size();
+      ++stats_by_src_[src].packets;
       slot.swap(box);  // the drained slot's buffer becomes the outbox
     }
   }
@@ -113,7 +110,6 @@ class Conveyor {
       total.messages += s.messages;
       total.packets += s.packets;
       total.drained += s.drained;
-      if (s.max_packet > total.max_packet) total.max_packet = s.max_packet;
     }
     return total;
   }

@@ -7,7 +7,7 @@
 #include "client/session.hpp"
 #include "replica/store.hpp"
 #include "util/digest.hpp"
-#include "util/rng.hpp"
+#include "workload/engine.hpp"
 
 namespace idea::runtime {
 
@@ -25,7 +25,18 @@ std::uint64_t read_value_digest(const client::ReadResult& r) {
   return h;
 }
 
+/// Modeled one-way latency of a cross-segment hop, applied before the
+/// delivery is rounded up to the next epoch edge.
+constexpr SimDuration kHop = msec(20);
+
 }  // namespace
+
+/// One cross-segment hand-off: a closure the destination segment runs at
+/// max(epoch start, issued_at + kHop).
+struct ShardedFleet::Hop {
+  SimTime issued_at = 0;
+  std::function<void()> run;
+};
 
 // ---------------------------------------------------------------------
 // Segment: one ring slice — a full ShardedCluster plus the client tier
@@ -41,8 +52,7 @@ class ShardedFleet::Segment final : public Partition {
         index_(index),
         offset_(offset),
         endpoints_(cfg.endpoints),
-        cluster_(std::make_unique<shard::ShardedCluster>(std::move(cfg))),
-        rng_(mix64(cluster_->config().seed ^ 0xF1EE70000ull ^ index)) {
+        cluster_(std::make_unique<shard::ShardedCluster>(std::move(cfg))) {
     client_ = std::make_unique<client::Client>(*cluster_);
     session_ = std::make_unique<client::ClientSession>(
         client_->session(client::SessionOptions{}));
@@ -56,15 +66,13 @@ class ShardedFleet::Segment final : public Partition {
     // The pool barrier synchronized the hand-off; stamp the new owner.
     cluster_->sim().rebind_owner_thread();
     cluster_->transport().rebind_owner_thread();
-    const SimDuration hop = fleet_.config_.runtime.hop_latency;
     fleet_.conveyor_->drain(
-        index_, epoch, [&](std::uint32_t, std::vector<FleetMsg>& msgs) {
-          for (FleetMsg& m : msgs) {
-            // Cross-segment delivery lands at a deterministic instant:
-            // the modeled hop, rounded up to this epoch's edge.
-            const SimTime at = std::max(start, m.issued_at + hop);
-            cluster_->sim().schedule_at(
-                at, [this, msg = std::move(m)]() mutable { on_msg(msg); });
+        index_, epoch, [&](std::uint32_t, std::vector<Hop>& hops) {
+          for (Hop& h : hops) {
+            // The modeled hop, rounded up to this epoch's edge: a
+            // deterministic instant.
+            cluster_->sim().schedule_at(std::max(start, h.issued_at + kHop),
+                                        std::move(h.run));
           }
         });
   }
@@ -79,52 +87,34 @@ class ShardedFleet::Segment final : public Partition {
   // Workload (issuing side)
   // ----------------------------------------------------------------
 
+  /// One OpenLoopEngine tenant per target segment (tenant t targets
+  /// segment t's placed files, uniformly).  The local tenant issues
+  /// rate·(1−cross) and each remote one rate·cross/(S−1), so together
+  /// they are one Poisson process at the segment's full rate.
   void arm_workload(const FleetWorkloadParams& params) {
-    params_ = params;
-    workload_end_ = cluster_->sim().now() + params.duration;
+    assert(engine_ == nullptr && "the workload is installed once");
+    const std::uint32_t segs = fleet_.segments();
     const double rate =
         params.ops_per_endpoint_per_sec * static_cast<double>(endpoints_);
-    if (rate <= 0.0) return;
-    mean_gap_us_ = 1e6 / rate;
-    schedule_next_op(cluster_->sim().now() + next_gap());
-  }
-
-  void on_msg(FleetMsg& m) {
-    switch (m.kind) {
-      case FleetMsg::Kind::kPut: {
-        auto h = session_->put(m.file, std::move(m.content), m.meta);
-        FleetMsg reply;
-        reply.kind = FleetMsg::Kind::kPutReply;
-        reply.origin = m.origin;
-        reply.op_id = m.op_id;
-        reply.file = m.file;
-        reply.issued_at = m.issued_at;
-        reply.ok = h.ok();
-        post_reply(std::move(reply));
-        break;
-      }
-      case FleetMsg::Kind::kGet: {
-        auto h = session_->read(m.file);
-        FleetMsg reply;
-        reply.kind = FleetMsg::Kind::kGetReply;
-        reply.origin = m.origin;
-        reply.op_id = m.op_id;
-        reply.file = m.file;
-        reply.issued_at = m.issued_at;
-        reply.ok = h.ok();
-        if (h.ok()) reply.value_digest = read_value_digest(h.value());
-        post_reply(std::move(reply));
-        break;
-      }
-      case FleetMsg::Kind::kPutReply:
-      case FleetMsg::Kind::kGetReply: {
-        ++replies_;
-        remote_latency_total_ += cluster_->sim().now() - m.issued_at;
-        op_digest_ = mix64(op_digest_ ^ mix64(m.op_id * 0x9E3779B97F4A7C15ull) ^
-                           (m.ok ? 0x5A5Aull : 0xA5A5ull) ^ m.value_digest);
-        break;
-      }
+    const double cross = segs > 1 ? params.cross_segment_fraction : 0.0;
+    const SimTime now = cluster_->sim().now();
+    std::vector<workload::TenantSpec> tenants(segs);
+    for (std::uint32_t t = 0; t < segs; ++t) {
+      const auto keys =
+          static_cast<std::uint32_t>(fleet_.segments_[t]->files().size());
+      const double share = t == index_ ? 1.0 - cross : cross / (segs - 1);
+      tenants[t].keys = keys;
+      tenants[t].read_fraction = params.read_fraction;
+      tenants[t].rate = {{now, keys == 0 ? 0.0 : rate * share}};
     }
+    engine_ = std::make_unique<workload::OpenLoopEngine>(
+        cluster_->sim(),
+        workload::EngineOptions{
+            now, now + params.duration,
+            mix64(cluster_->config().seed ^ 0xF1EE70000ull ^ index_)},
+        std::move(tenants),
+        [this](const workload::Op& op) { issue_op(op); });
+    engine_->start();
   }
 
   // Accessors used by the fleet (between runs — the barrier makes the
@@ -144,37 +134,17 @@ class ShardedFleet::Segment final : public Partition {
   [[nodiscard]] std::uint64_t op_digest() const { return op_digest_; }
 
  private:
-  [[nodiscard]] SimDuration next_gap() {
-    const double gap = rng_.exponential(mean_gap_us_);
-    return std::max<SimDuration>(1, static_cast<SimDuration>(gap));
-  }
-
-  void schedule_next_op(SimTime when) {
-    if (when >= workload_end_) return;
-    cluster_->sim().schedule_at(when, [this, when] {
-      issue_op();
-      schedule_next_op(when + next_gap());
-    });
-  }
-
-  void issue_op() {
-    const bool is_read = rng_.chance(params_.read_fraction);
-    const std::uint32_t total_segments = fleet_.segments();
-    const bool cross = total_segments > 1 &&
-                       rng_.chance(params_.cross_segment_fraction);
-    std::uint32_t target = index_;
-    if (cross) {
-      target = static_cast<std::uint32_t>(
-          rng_.next_below(total_segments - 1));
-      if (target >= index_) ++target;
-    }
-    const std::vector<FileId>& candidates = fleet_.segments_[target]->files();
-    if (candidates.empty()) return;
-    const FileId file =
-        candidates[static_cast<std::size_t>(rng_.next_below(
-            candidates.size()))];
+  /// Run `op` through this segment's session, or ship it to the target
+  /// segment: that closure runs through the target's session on the
+  /// target's thread, then sends the outcome back as a closure that runs
+  /// on this segment's thread.
+  void issue_op(const workload::Op& op) {
+    const std::uint32_t target = op.tenant;
+    Segment* dst = fleet_.segments_[target].get();
+    const FileId file = dst->files_[op.key];
+    const bool is_read = op.is_read;
     const std::uint64_t op_id = next_op_id_++;
-    if (!cross) {
+    if (dst == this) {
       ++local_ops_;
       if (is_read) {
         auto h = session_->read(file);
@@ -188,31 +158,34 @@ class ShardedFleet::Segment final : public Partition {
       return;
     }
     ++remote_ops_;
-    FleetMsg m;
-    m.kind = is_read ? FleetMsg::Kind::kGet : FleetMsg::Kind::kPut;
-    m.origin = index_;
-    m.op_id = op_id;
-    m.file = file;
-    m.issued_at = cluster_->sim().now();
-    if (!is_read) {
-      m.content = op_content(op_id);
-      m.meta = 1.0;
-    }
-    fleet_.conveyor_->post(index_, target, std::move(m));
+    const SimTime issued = cluster_->sim().now();
+    std::string content = is_read ? std::string() : op_content(op_id);
+    send(target, issued, [=, this, content = std::move(content)]() mutable {
+      bool ok = false;
+      std::uint64_t value = 0;
+      if (is_read) {
+        auto h = dst->session_->read(file);
+        ok = h.ok();
+        if (ok) value = read_value_digest(h.value());
+      } else {
+        ok = dst->session_->put(file, std::move(content), 1.0).ok();
+      }
+      dst->send(index_, issued, [=, this] {
+        ++replies_;
+        remote_latency_total_ += cluster_->sim().now() - issued;
+        op_digest_ = mix64(op_digest_ ^ mix64(op_id * 0x9E3779B97F4A7C15ull) ^
+                           (ok ? 0x5A5Aull : 0xA5A5ull) ^ value);
+      });
+    });
+  }
+
+  /// Post `run` from this segment's running epoch task to segment `to`.
+  void send(std::uint32_t to, SimTime issued_at, std::function<void()> run) {
+    fleet_.conveyor_->post(index_, to, Hop{issued_at, std::move(run)});
   }
 
   [[nodiscard]] std::string op_content(std::uint64_t op_id) const {
     return "s" + std::to_string(index_) + ":" + std::to_string(op_id);
-  }
-
-  void post_reply(FleetMsg reply) {
-    // Replies to the segment's own ops short-circuit (a local op never
-    // builds a FleetMsg, but keep the invariant anyway).
-    if (reply.origin == index_) {
-      on_msg(reply);
-      return;
-    }
-    fleet_.conveyor_->post(index_, reply.origin, std::move(reply));
   }
 
   ShardedFleet& fleet_;
@@ -222,12 +195,10 @@ class ShardedFleet::Segment final : public Partition {
   std::unique_ptr<shard::ShardedCluster> cluster_;
   std::unique_ptr<client::Client> client_;
   std::unique_ptr<client::ClientSession> session_;
-  Rng rng_;  ///< Per-segment stream: issuance identical at any threads.
   std::vector<FileId> files_;  ///< Placed here, ascending.
-
-  FleetWorkloadParams params_;
-  SimTime workload_end_ = 0;
-  double mean_gap_us_ = 0.0;
+  /// The issuer; its per-tenant streams fork from a per-segment seed, so
+  /// issuance is identical at any thread count.
+  std::unique_ptr<workload::OpenLoopEngine> engine_;
   std::uint64_t next_op_id_ = 1;
   std::uint64_t local_ops_ = 0;
   std::uint64_t remote_ops_ = 0;
@@ -242,10 +213,10 @@ class ShardedFleet::Segment final : public Partition {
 
 ShardedFleet::ShardedFleet(shard::ShardedClusterConfig config)
     : config_(std::move(config)) {
-  const std::uint32_t segs = config_.runtime.effective_segments();
+  const std::uint32_t segs = config_.runtime.segments;
   assert(segs > 0 && config_.endpoints >= segs &&
          "need at least one endpoint per segment");
-  conveyor_ = std::make_unique<Conveyor<FleetMsg>>(segs);
+  conveyor_ = std::make_unique<Conveyor<Hop>>(segs);
   const std::uint32_t base = config_.endpoints / segs;
   const std::uint32_t extra = config_.endpoints % segs;
   NodeId offset = 0;

@@ -14,13 +14,17 @@
 /// that state ever needs a lock; a segment moves to another worker (when
 /// its home worker is busy) only across pool barriers.
 ///
-/// What crosses segments is the *client tier*: fleet operations originate
-/// at one segment and may target files placed on another.  Those ride the
-/// Conveyor as batched packets — accumulated while the source's epoch task
-/// runs, sealed at the epoch edge, executed by the owning segment next
-/// epoch, with the reply conveyed back the same way.  Delivery timestamps
-/// are epoch-edge-deterministic, so the merged history is a pure function
-/// of (config, seed, segment count) — never of `threads`.
+/// The fleet is a thin driver over sessions.  Each segment issues its
+/// operations from one workload::OpenLoopEngine and serves them through
+/// its own client::ClientSession.  An operation on a file placed on
+/// another segment rides the Conveyor as a closure: accumulated while the
+/// source's epoch task runs, sealed at the epoch edge, and run by the
+/// owning segment next epoch through *its* session; the outcome comes
+/// back the same way as a closure run by the origin.  So a remote op is
+/// an ordinary session op — levels, write concerns, tracing — and there
+/// is no fleet-private protocol.  Delivery timestamps are
+/// epoch-edge-deterministic, so the merged history is a pure function of
+/// (config, seed, segment count) — never of `threads`.
 ///
 /// Oracle mode: `config.runtime.threads == 1` runs the identical epoch
 /// protocol inline on the calling thread, through the same per-segment
@@ -49,31 +53,18 @@ class ClientSession;
 
 namespace idea::runtime {
 
-/// Open-loop fleet workload: every segment issues operations at a fixed
-/// per-endpoint rate; a configurable fraction targets files owned by
-/// *other* segments (the conveyor traffic).  Draws come from per-segment
-/// forks of the deployment seed, so issuance is identical at any thread
-/// count.
+/// Open-loop fleet workload: every segment issues operations as a Poisson
+/// process at a fixed per-endpoint rate, uniform over the target
+/// segment's files; a configurable fraction targets files owned by
+/// *other* segments (the conveyor traffic).  Each segment's engine is
+/// seeded from its own segment seed, so issuance is identical at any
+/// thread count.
 struct FleetWorkloadParams {
   double ops_per_endpoint_per_sec = 8.0;
   double read_fraction = 0.5;
   /// Fraction of operations targeting a file on another segment.
   double cross_segment_fraction = 0.25;
   SimDuration duration = sec(5);
-};
-
-/// One operation that crossed segments (or its reply riding back).
-struct FleetMsg {
-  enum class Kind : std::uint8_t { kPut, kGet, kPutReply, kGetReply };
-  Kind kind = Kind::kGet;
-  std::uint32_t origin = 0;  ///< Segment the op originated at.
-  std::uint64_t op_id = 0;   ///< Origin-local id.
-  FileId file = 0;
-  SimTime issued_at = 0;  ///< Echoed through the reply for latency.
-  std::string content;    ///< Put payload.
-  double meta = 0.0;
-  bool ok = false;             ///< Reply: operation outcome.
-  std::uint64_t value_digest = 0;  ///< Reply: digest of the read value.
 };
 
 struct FleetStats {
@@ -91,7 +82,7 @@ struct FleetStats {
 class ShardedFleet {
  public:
   /// `config.endpoints` is the fleet-wide endpoint count, split across
-  /// `config.runtime.effective_segments()` segments (remainder endpoints
+  /// `config.runtime.segments` segments (remainder endpoints
   /// go to the lowest segments).  Each segment derives its own seed from
   /// the deployment seed, so the fleet's behavior depends on the segment
   /// count but never on `config.runtime.threads`.
@@ -109,7 +100,8 @@ class ShardedFleet {
   /// to (then on that segment's own ring).
   void place(FileId first, std::uint32_t count);
 
-  /// Install the open-loop workload (call once, before running).
+  /// Install the open-loop workload (call once, after place() and before
+  /// running): ops target the files placed at this point.
   void set_workload(FleetWorkloadParams params);
 
   /// Schedule `fn` against a segment's cluster at sim time `t`; it runs
@@ -159,16 +151,14 @@ class ShardedFleet {
   /// local id).
   [[nodiscard]] std::uint32_t segment_endpoints(std::uint32_t s) const;
   [[nodiscard]] NodeId global_endpoint(std::uint32_t s, NodeId local) const;
-  [[nodiscard]] const RuntimeOptions& runtime() const {
-    return config_.runtime;
-  }
 
  private:
   class Segment;  // the Partition implementation
+  struct Hop;     // a closure crossing segments on the conveyor
 
   shard::ShardedClusterConfig config_;
   std::vector<std::unique_ptr<Segment>> segments_;
-  std::unique_ptr<Conveyor<FleetMsg>> conveyor_;
+  std::unique_ptr<Conveyor<Hop>> conveyor_;
   std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<ParallelSimulator> psim_;
 };

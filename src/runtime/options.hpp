@@ -2,6 +2,11 @@
 /// \file options.hpp
 /// \brief Multicore runtime knobs (dependency-free so shard/ can embed
 ///        them; consumed by runtime::ShardedFleet).
+///
+/// Three knobs: worker threads, ring segments and the epoch length.  The
+/// segment count has a fixed default, never derived from `threads`, so
+/// a config produces the same results at every thread count.  The
+/// cross-segment hop latency is a constant of the fleet, not a knob.
 
 #include <cstdint>
 
@@ -23,21 +28,14 @@ struct RuntimeOptions {
   /// Ring segments the endpoint space is partitioned into — the unit of
   /// scheduling and of replica-group confinement (every group lives
   /// entirely inside one segment, so endpoint-local state never needs
-  /// locks).  0 derives max(threads, 1).  Note results depend on the
-  /// segment count (it shapes the ring) but never on `threads`.
-  std::uint32_t segments = 0;
+  /// locks).  Results depend on the segment count (it shapes the rings)
+  /// but never on `threads`, so the default is fixed: one ring over the
+  /// whole endpoint space.  Set it to at least `threads` for parallelism.
+  std::uint32_t segments = 1;
   /// Epoch length: the barrier cadence.  All events at time <= T execute
   /// before any event > T becomes visible across segments; cross-segment
   /// messages flush at epoch edges (conveyor semantics).
   SimDuration epoch = msec(50);
-  /// Modeled one-way latency of a cross-segment hop, applied before the
-  /// delivery is rounded up to the next epoch edge.
-  SimDuration hop_latency = msec(20);
-
-  [[nodiscard]] std::uint32_t effective_segments() const {
-    if (segments != 0) return segments;
-    return threads == 0 ? 1 : threads;
-  }
 };
 
 }  // namespace idea::runtime

@@ -55,8 +55,6 @@ class ParallelSimulator {
   void run_for(SimDuration d) { run_until(now_ + d); }
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] std::uint64_t epochs() const { return epoch_; }
-  [[nodiscard]] WorkerPool& pool() { return pool_; }
 
  private:
   WorkerPool& pool_;

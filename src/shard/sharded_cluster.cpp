@@ -371,13 +371,15 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
       meter.add(cluster_metrics().migrate_stream_messages, streamed);
       // Until the stream lands, the other ranks of the new group are
       // cold; tell the router so policy reads pin to the already-warm
-      // new coordinator for the window.  Two one-way trips (batching
-      // flush + delivery) plus slack bounds the in-flight time.
+      // adopter for the window.  Two one-way trips (batching flush +
+      // delivery) from the adopter to its farthest live rank, plus slack,
+      // bound the in-flight time; dark ranks receive nothing.
       if (group.members.size() > 1) {
         SimDuration horizon = 0;
-        for (std::size_t rank = 1; rank < group.members.size(); ++rank) {
-          horizon = std::max(horizon, latency_->mean(group.members.front(),
-                                                     group.members[rank]));
+        for (std::size_t rank = 0; rank < group.members.size(); ++rank) {
+          if (group.sync[rank] == nullptr) continue;
+          horizon = std::max(horizon,
+                             latency_->mean(adopter_ep, group.members[rank]));
         }
         const SimDuration window = 2 * horizon + msec(100);
         router_->note_migration(file, sim_.now() + window);

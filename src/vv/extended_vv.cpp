@@ -185,11 +185,12 @@ void ExtendedVersionVector::merge(const ExtendedVersionVector& other) {
     }
   }
   if (stamps_.size() > original) {
-    std::inplace_merge(
-        stamps_.begin(), stamps_.begin() + static_cast<std::ptrdiff_t>(original),
-        stamps_.end(), [](const WriterStamps& a, const WriterStamps& b) {
-          return a.first < b.first;
-        });
+    const auto merged_from =
+        stamps_.begin() + static_cast<std::ptrdiff_t>(original);
+    std::inplace_merge(stamps_.begin(), merged_from, stamps_.end(),
+                       [](const WriterStamps& a, const WriterStamps& b) {
+                         return a.first < b.first;
+                       });
   }
   if (other_newer) meta_ = other.meta_;
 }

@@ -6,16 +6,19 @@
 ///        sequential oracle — the existing single-threaded Simulator
 ///        kernels, nothing spawned) or on a multi-threaded pool.
 ///
-/// The segment count is pinned explicitly in every scenario: results are
-/// allowed to depend on (config, seed, segments) — the partition shapes
-/// the rings — but NEVER on `threads`.  Scenarios cover the plain
-/// workload, elastic churn (an endpoint joins and another leaves
-/// mid-run), and crash/restart with durable checkpoints, all scheduled
-/// through ShardedFleet::schedule_on so the fault instants land inside
-/// worker-owned epochs.
+/// Results are allowed to depend on (config, seed, segments) — the
+/// partition shapes the rings — but NEVER on `threads`; one scenario
+/// leaves the segment count unset to show its default does not follow
+/// `threads`.  Scenarios cover the plain workload, elastic churn (an
+/// endpoint joins and another leaves mid-run), and crash/restart with
+/// durable checkpoints, all scheduled through ShardedFleet::schedule_on
+/// so the fault instants land inside worker-owned epochs.  The issuer
+/// cases check the open-loop engine's rates and that local-only
+/// workloads put nothing on the conveyor.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -54,6 +57,7 @@ struct FleetResult {
   std::uint64_t local_ops = 0;
   std::uint64_t remote_ops = 0;
   std::uint64_t replies = 0;
+  std::uint64_t conveyor_messages = 0;
   std::size_t converged = 0;
 };
 
@@ -67,6 +71,7 @@ FleetResult harvest(ShardedFleet& fleet) {
   r.local_ops = s.local_ops;
   r.remote_ops = s.remote_ops;
   r.replies = s.replies;
+  r.conveyor_messages = s.conveyor.messages;
   r.converged = fleet.converged_files();
   return r;
 }
@@ -79,19 +84,29 @@ void expect_equal(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.local_ops, b.local_ops);
   EXPECT_EQ(a.remote_ops, b.remote_ops);
   EXPECT_EQ(a.replies, b.replies);
+  EXPECT_EQ(a.conveyor_messages, b.conveyor_messages);
   EXPECT_EQ(a.converged, b.converged);
 }
 
-FleetResult run_plain(std::uint32_t threads, std::uint64_t seed) {
-  ShardedFleet fleet(fleet_config(threads, seed));
-  fleet.place(1, kFiles);
+FleetWorkloadParams plain_workload() {
   FleetWorkloadParams wl;
   wl.ops_per_endpoint_per_sec = 6.0;
   wl.cross_segment_fraction = 0.3;
   wl.duration = sec(3);
+  return wl;
+}
+
+FleetResult run_fleet(const shard::ShardedClusterConfig& cfg,
+                      const FleetWorkloadParams& wl) {
+  ShardedFleet fleet(cfg);
+  fleet.place(1, kFiles);
   fleet.set_workload(wl);
-  fleet.run_for(sec(3) + sec(5));  // workload + drain
+  fleet.run_for(wl.duration + sec(5));  // workload + drain
   return harvest(fleet);
+}
+
+FleetResult run_plain(std::uint32_t threads, std::uint64_t seed) {
+  return run_fleet(fleet_config(threads, seed), plain_workload());
 }
 
 TEST(ShardedFleetOracle, ParallelRunMatchesSequentialOracle) {
@@ -117,6 +132,19 @@ TEST(ShardedFleetOracle, DifferentSeedsDiverge) {
   const FleetResult a = run_plain(1, 2007);
   const FleetResult b = run_plain(1, 555);
   EXPECT_NE(a.op_digest, b.op_digest);
+}
+
+TEST(ShardedFleetOracle, UnsetSegmentCountDoesNotFollowThreads) {
+  // The default segment count is fixed, so a config that leaves it unset
+  // builds the same rings — and gets the same results — at any threads.
+  const auto unset = [](std::uint32_t threads) {
+    shard::ShardedClusterConfig cfg = fleet_config(threads, 2007);
+    cfg.runtime.segments = RuntimeOptions{}.segments;
+    return cfg;
+  };
+  const FleetResult oracle = run_fleet(unset(1), plain_workload());
+  EXPECT_GT(oracle.local_ops, 0u);
+  expect_equal(oracle, run_fleet(unset(4), plain_workload()));
 }
 
 /// Elastic churn inside worker-owned epochs: segment 1 gains an endpoint
@@ -211,6 +239,41 @@ TEST(ShardedFleetStats, ConveyorAccountingCloses) {
   EXPECT_EQ(s.conveyor.packets, s.conveyor.drained);
   EXPECT_GE(s.pool.batches, 1u);
   EXPECT_EQ(s.pool.tasks_run, s.pool.batches * kSegments);
+}
+
+TEST(ShardedFleetIssuer, ZeroCrossFractionPostsNothing) {
+  FleetWorkloadParams wl = plain_workload();
+  wl.cross_segment_fraction = 0.0;
+  const FleetResult r = run_fleet(fleet_config(4, 2007), wl);
+  EXPECT_GT(r.local_ops, 0u);
+  EXPECT_EQ(r.remote_ops, 0u);
+  EXPECT_EQ(r.conveyor_messages, 0u);
+}
+
+TEST(ShardedFleetIssuer, OneSegmentHasNoRemoteOps) {
+  // A cross-segment fraction has no other segment to target.
+  shard::ShardedClusterConfig cfg = fleet_config(1, 2007);
+  cfg.runtime.segments = 1;
+  const FleetResult r = run_fleet(cfg, plain_workload());
+  EXPECT_GT(r.local_ops, 0u);
+  EXPECT_EQ(r.remote_ops, 0u);
+  EXPECT_EQ(r.conveyor_messages, 0u);
+}
+
+TEST(ShardedFleetIssuer, IssuedOpsFollowTheConfiguredRates) {
+  // Every segment's tenants superpose to one Poisson process at
+  // ops_per_endpoint_per_sec × its endpoints, a cross_segment_fraction of
+  // it remote: both counts lie within four standard deviations.
+  const FleetWorkloadParams wl = plain_workload();
+  const double total = wl.ops_per_endpoint_per_sec * 16 * to_sec(wl.duration);
+  const double remote = total * wl.cross_segment_fraction;
+  for (const std::uint64_t seed : {2007u, 555u, 99u}) {
+    const FleetResult r = run_fleet(fleet_config(1, seed), wl);
+    EXPECT_NEAR(static_cast<double>(r.local_ops + r.remote_ops), total,
+                4 * std::sqrt(total));
+    EXPECT_NEAR(static_cast<double>(r.remote_ops), remote,
+                4 * std::sqrt(remote));
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -415,6 +416,52 @@ TEST(CrashRecoveryTest, ActingCoordinatorDrivesLevelProbeAndReplicaSelection) {
   EXPECT_EQ(cluster.router().level(kFile),
             cluster.replica(kFile, cluster.coordinator(kFile).second)
                 ->current_level());
+}
+
+TEST(CrashRecoveryTest, MigrationReadPinWindowIsSizedFromTheAdopter) {
+  // A member leaves while the file's rank 0 is dark: rank 1 adopts the
+  // union snapshot and streams it, so the read-pin window must span the
+  // adopter's trips to the live ranks — not the dark rank 0's.  Scan
+  // files for one where the two windows differ, so the check bites.
+  for (FileId file = 1; file <= 30; ++file) {
+    ShardedCluster cluster(crash_config(
+        717, replica::CheckpointEngineKind::kNone, /*loss_rate=*/0.0));
+    ASSERT_NE(cluster.ensure_open(file), nullptr);
+    client::ClientSession session(cluster, {});
+    ASSERT_TRUE(session.put(file, "before", 1.0).ok());
+    cluster.run_for(sec(1));
+    const std::vector<NodeId> old_group = cluster.group_of(file);
+    ASSERT_EQ(old_group.size(), 3u);
+    cluster.crash_endpoint(old_group[0]);
+    const SimTime migrated_at = cluster.sim().now();
+    ASSERT_GT(cluster.remove_endpoint(old_group[2]).files_migrated, 0u);
+    const std::vector<NodeId>* group = cluster.members_of(file);
+    ASSERT_NE(group, nullptr);
+    ASSERT_EQ(group->front(), old_group[0]);  // the new rank 0 is dark
+    const NodeId adopter = cluster.coordinator(file).second;
+    ASSERT_EQ(adopter, old_group[1]);
+
+    SimDuration from_adopter = 0;
+    SimDuration from_dark = 0;
+    for (std::size_t rank = 1; rank < group->size(); ++rank) {
+      const NodeId member = (*group)[rank];
+      from_dark = std::max(from_dark,
+                           cluster.latency().mean(group->front(), member));
+      if (member != adopter) {
+        from_adopter = std::max(from_adopter,
+                                cluster.latency().mean(adopter, member));
+      }
+    }
+    if (from_adopter == from_dark) continue;
+    const SimTime window_end = migrated_at + 2 * from_adopter + msec(100);
+
+    cluster.run_until(window_end - 1);
+    EXPECT_TRUE(cluster.router().in_migration_window(file));
+    cluster.run_until(window_end);
+    EXPECT_FALSE(cluster.router().in_migration_window(file));
+    return;
+  }
+  FAIL() << "no file whose adopter and dark-rank windows differ";
 }
 
 TEST(CrashRecoveryTest, CloseFileWhileAMemberIsDownThenRestart) {
