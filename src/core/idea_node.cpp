@@ -7,42 +7,78 @@
 
 namespace idea::core {
 
+struct IdeaNode::Overlay {
+  Overlay(IdeaNode& node, std::uint64_t seed);
+
+  overlay::TemperatureTracker temperature;
+  overlay::TwoLayerView two_layer;
+  overlay::GossipAgent gossip;
+  overlay::RanSubAgent ransub;
+};
+
+IdeaNode::Overlay::Overlay(IdeaNode& node, std::uint64_t seed)
+    : temperature(node.config_.temperature),
+      two_layer(node.self_, node.config_.two_layer),
+      gossip(node.self_, node.transport_, node.config_.gossip,
+             [&node](const overlay::GossipEnvelope& env) {
+               node.detector_.on_gossip(env);
+             },
+             mix64(seed ^ 0x60551FULL ^ node.self_)),
+      ransub(node.self_, node.file_, node.transport_, node.config_.ransub,
+             [this, &node] {
+               std::vector<overlay::TempAd> ads;
+               const SimTime now = node.transport_.now();
+               ads.push_back(overlay::TempAd{
+                   node.self_, node.file_,
+                   temperature.temperature(node.file_, now), now});
+               return ads;
+             },
+             [this, &node](const std::vector<overlay::TempAd>& ads) {
+               two_layer.ingest(ads, node.transport_.now());
+             },
+             mix64(seed ^ 0x4A5ULL ^ node.self_)) {}
+
 IdeaNode::IdeaNode(NodeId self, FileId file, net::Transport& transport,
                    IdeaConfig config, std::uint64_t seed,
                    bool attach_transport)
-    : self_(self), file_(file), transport_(transport), config_(config),
-      store_(self, file), temperature_(config.temperature),
-      two_layer_(self, config.two_layer),
-      gossip_(self, transport, config.gossip,
-              [this](const overlay::GossipEnvelope& env) {
-                detector_.on_gossip(env);
-              },
-              mix64(seed ^ 0x60551FULL ^ self)),
-      ransub_(self, file, transport, config.ransub,
-              [this] {
-                std::vector<overlay::TempAd> ads;
-                const SimTime now = transport_.now();
-                ads.push_back(overlay::TempAd{
-                    self_, file_, temperature_.temperature(file_, now), now});
-                return ads;
-              },
-              [this](const std::vector<overlay::TempAd>& ads) {
-                two_layer_.ingest(ads, transport_.now());
-              },
-              mix64(seed ^ 0x4A5ULL ^ self)),
-      detector_(self, file, transport, store_, gossip_,
-                [this] { return current_top_layer(); }, config.detector,
+    : IdeaNode(self, file, transport, std::move(config), seed,
+               attach_transport, /*group_size=*/0) {}
+
+IdeaNode::IdeaNode(NodeId self, FileId file, net::Transport& transport,
+                   IdeaConfig config, std::uint64_t seed, GroupStack group)
+    : IdeaNode(self, file, transport, std::move(config), seed,
+               /*attach_transport=*/false, group.size) {
+  assert(group.size > 0 && self < group.size);
+}
+
+IdeaNode::IdeaNode(NodeId self, FileId file, net::Transport& transport,
+                   IdeaConfig config, std::uint64_t seed,
+                   bool attach_transport, std::uint32_t group_size)
+    : self_(self), file_(file), transport_(transport),
+      config_(std::move(config)), store_(self, file),
+      overlay_(group_size == 0 ? std::make_unique<Overlay>(*this, seed)
+                               : nullptr),
+      detector_(self, file, transport, store_,
+                overlay_ == nullptr ? nullptr : &overlay_->gossip,
+                [this] { return current_top_layer(); }, config_.detector,
                 mix64(seed ^ 0xDE7EC7ULL ^ self)),
       resolution_(self, file, transport, store_,
-                  [this] { return current_top_layer(); }, config.resolution,
+                  [this] { return current_top_layer(); }, config_.resolution,
                   mix64(seed ^ 0x2E50ULL ^ self)),
-      controller_(config.controller,
+      controller_(config_.controller,
                   [this] { demand_active_resolution(); },
                   [this](SimDuration period) {
                     arm_background_timer(period);
                   }) {
-  dispatcher_.route("ransub.", &ransub_);
-  dispatcher_.route("gossip.", &gossip_);
+  if (overlay_ != nullptr) {
+    dispatcher_.route("ransub.", &overlay_->ransub);
+    dispatcher_.route("gossip.", &overlay_->gossip);
+  } else {
+    for (NodeId rank = 0; rank < group_size; ++rank) {
+      group_ranks_.push_back(rank);
+    }
+    detector_.set_divergence_callback([this] { wake_detection(); });
+  }
   dispatcher_.route("detect.", &detector_);
   dispatcher_.route("resolve.", &resolution_);
   attached_ = attach_transport;
@@ -65,12 +101,11 @@ IdeaNode::~IdeaNode() {
 }
 
 void IdeaNode::start() {
-  ransub_.start();  // no-op except on the tree root
-  detector_.start_background_scan();
-  if (config_.detection_period > 0) {
-    detection_timer_ = transport_.call_every(
-        config_.detection_period, [this] { probe(); });
+  if (overlay_ != nullptr) {
+    overlay_->ransub.start();  // no-op except on the tree root
+    detector_.start_background_scan();
   }
+  arm_detection();
   if (config_.background_period > 0) {
     arm_background_timer(config_.background_period);
   }
@@ -86,7 +121,7 @@ bool IdeaNode::write(std::string content, double meta_delta) {
   const SimTime local_now = transport_.local_time(self_);
   store_.apply_local(local_now, std::move(content), meta_delta);
   note_replica_activity();
-  if (config_.detect_on_write) probe();
+  if (overlay_ != nullptr && config_.detect_on_write) probe();
   return true;
 }
 
@@ -102,9 +137,14 @@ std::shared_ptr<const replica::ContentsView> IdeaNode::read_view(
 }
 
 void IdeaNode::note_replica_activity() {
+  if (overlay_ == nullptr) {
+    wake_detection();
+    return;
+  }
   const SimTime now = transport_.now();
-  temperature_.record_update(file_, now);
-  two_layer_.note_self(file_, temperature_.temperature(file_, now), now);
+  overlay_->temperature.record_update(file_, now);
+  overlay_->two_layer.note_self(
+      file_, overlay_->temperature.temperature(file_, now), now);
 }
 
 void IdeaNode::set_consistency_metric(double max_numerical, double max_order,
@@ -149,8 +189,8 @@ void IdeaNode::user_adjust_weights(double w_numerical, double w_order,
 }
 
 std::vector<NodeId> IdeaNode::top_layer() const {
-  auto tl = two_layer_.top_layer(file_, transport_.now());
-  return tl;
+  if (overlay_ == nullptr) return group_ranks_;
+  return overlay_->two_layer.top_layer(file_, transport_.now());
 }
 
 void IdeaNode::probe(detect::InconsistencyDetector::DetectCallback cb) {
@@ -159,6 +199,36 @@ void IdeaNode::probe(detect::InconsistencyDetector::DetectCallback cb) {
     on_detection(result);
     if (cb) cb(result);
   });
+}
+
+void IdeaNode::arm_detection() {
+  if (detection_timer_ != 0 || config_.detection_period <= 0) return;
+  detection_timer_ = transport_.call_every(config_.detection_period,
+                                           [this] { detection_round(); });
+}
+
+void IdeaNode::detection_round() {
+  if (overlay_ != nullptr) {
+    probe();
+    return;
+  }
+  // Park after a clean round that nothing touched: no conflict, every
+  // probed peer replied, and no write, ingest or divergent probe since
+  // the previous round began or while this one ran.
+  const bool quiet = !woken_;
+  woken_ = false;
+  probe([this, quiet](const detect::DetectionResult& result) {
+    const bool clean =
+        !result.conflict && result.peers_replied == result.peers_probed;
+    if (!clean || !quiet || woken_ || detection_timer_ == 0) return;
+    transport_.cancel_call(detection_timer_);
+    detection_timer_ = 0;
+  });
+}
+
+void IdeaNode::wake_detection() {
+  woken_ = true;
+  arm_detection();
 }
 
 void IdeaNode::on_detection(const detect::DetectionResult& result) {
@@ -170,6 +240,12 @@ void IdeaNode::on_detection(const detect::DetectionResult& result) {
   sample.reference = result.reference;
   sample.at = transport_.now();
   level_ = sample;
+  // A parked group stack keeps serving its last level, so only a clean
+  // round may leave the timer parked.
+  if (overlay_ == nullptr &&
+      (result.conflict || result.peers_replied < result.peers_probed)) {
+    arm_detection();
+  }
   controller_.observe_level(sample.level, sample.at, sample.conflict);
   if (on_level_) on_level_(sample);
 }
@@ -228,10 +304,12 @@ void IdeaNode::background_tick() {
 }
 
 std::vector<NodeId> IdeaNode::current_top_layer() {
+  if (overlay_ == nullptr) return group_ranks_;
   const SimTime now = transport_.now();
   // Keep our own advertisement fresh before consulting the view.
-  two_layer_.note_self(file_, temperature_.temperature(file_, now), now);
-  return two_layer_.top_layer(file_, now);
+  overlay_->two_layer.note_self(
+      file_, overlay_->temperature.temperature(file_, now), now);
+  return overlay_->two_layer.top_layer(file_, now);
 }
 
 }  // namespace idea::core

@@ -3,10 +3,20 @@
 /// \brief One IDEA middleware node: the public API of the library.
 ///
 /// An IdeaNode sits between an application replica and the network.  It owns
-/// the node's replica of one shared file, its temperature bookkeeping, its
-/// view of the two-layer overlay, the inconsistency detector and the
-/// resolution manager, and the adaptive controller.  Applications interact
-/// through:
+/// the node's replica of one shared file, the inconsistency detector, the
+/// resolution manager and the adaptive controller.  It runs one of two
+/// stacks:
+///
+///  * the paper stack (the plain constructor) adds the open-membership
+///    overlay: temperature bookkeeping, RanSub epochs, the two-layer view
+///    and gossip bottom-layer scans, and probes on every write;
+///  * the group stack (the GroupStack constructor, built by
+///    IdeaService::open_via for ring-managed replica groups) has none of
+///    that: membership is fixed, so ranks 0..k-1 are the top layer, and
+///    the periodic detection timer parks after a clean round until the
+///    replica's state moves again.
+///
+/// Applications interact through:
 ///
 ///  * write()/read()               — the data path;
 ///  * the Table-1 developer API    — set_consistency_metric, set_weight,
@@ -51,11 +61,13 @@ struct IdeaConfig {
 
   /// Period of the proactive top-layer detection rounds that keep the
   /// node's consistency level fresh ("periodically detecting inconsistency
-  /// with sufficient frequency behind the scene" — §5.1).
+  /// with sufficient frequency behind the scene" — §5.1).  A group stack
+  /// parks this timer while its replica is quiet (see IdeaNode).
   SimDuration detection_period = sec(1);
   /// Background-resolution period; 0 disables background resolution.
   SimDuration background_period = 0;
-  /// Also run detect() on every local write (the paper's write trigger).
+  /// Also run detect() on every local write (the paper's write trigger;
+  /// the group stack never probes on write).
   bool detect_on_write = true;
   /// Alert threshold for top-vs-bottom layer disagreement (§4.4.2's "78%
   /// vs 80%" closeness test).
@@ -83,6 +95,11 @@ struct DiscrepancyAlert {
   SimTime at = 0;
 };
 
+/// Selects the group stack: a ring-managed replica group of `size` ranks.
+struct GroupStack {
+  std::uint32_t size = 0;
+};
+
 class IdeaNode {
  public:
   using LevelListener = std::function<void(const LevelSample&)>;
@@ -96,13 +113,18 @@ class IdeaNode {
   IdeaNode(NodeId self, FileId file, net::Transport& transport,
            IdeaConfig config, std::uint64_t seed,
            bool attach_transport = true);
+  /// The group stack for rank `self` of a `group.size`-rank replica group.
+  /// It never claims the transport endpoint: IdeaService routes to it.
+  IdeaNode(NodeId self, FileId file, net::Transport& transport,
+           IdeaConfig config, std::uint64_t seed, GroupStack group);
   ~IdeaNode();
 
   IdeaNode(const IdeaNode&) = delete;
   IdeaNode& operator=(const IdeaNode&) = delete;
 
-  /// Arm the periodic machinery (detection rounds, bottom scans, RanSub
-  /// epoch timer on the root, background resolution).
+  /// Arm the periodic machinery (detection rounds, background resolution;
+  /// on the paper stack also bottom scans and the RanSub epoch timer on the
+  /// tree root).
   void start();
 
   // ------------------------------------------------------------------
@@ -126,11 +148,10 @@ class IdeaNode {
   [[nodiscard]] std::shared_ptr<const replica::ContentsView> read_view(
       bool trigger_detection = false);
 
-  /// Record hosting activity for temperature purposes without issuing a
-  /// write.  Sharded replicas call this when they ingest a replicated
-  /// update: the whole replica group then stays hot and surfaces as the
-  /// file's top layer, so detection and resolution span every durable
-  /// copy rather than just the original writer.
+  /// Record hosting activity without issuing a write.  Sharded replicas
+  /// call this when they ingest replicated updates.  On the paper stack it
+  /// feeds temperature, so the replica group stays hot and surfaces as the
+  /// file's top layer; on the group stack it re-arms parked detection.
   void note_replica_activity();
 
   // ------------------------------------------------------------------
@@ -186,7 +207,13 @@ class IdeaNode {
     return detector_;
   }
   [[nodiscard]] const IdeaConfig& config() const { return config_; }
+  /// The file's top layer as this node sees it; ranks 0..k-1 on the group
+  /// stack.
   [[nodiscard]] std::vector<NodeId> top_layer() const;
+  [[nodiscard]] bool group_stack() const { return overlay_ == nullptr; }
+  /// True while the periodic detection timer is pending (false once a
+  /// group stack parked it, or when detection_period is 0).
+  [[nodiscard]] bool detection_armed() const { return detection_timer_ != 0; }
   [[nodiscard]] std::uint64_t blocked_writes() const {
     return blocked_writes_;
   }
@@ -205,11 +232,23 @@ class IdeaNode {
   [[nodiscard]] net::Dispatcher& dispatcher() { return dispatcher_; }
 
  private:
+  /// The paper stack's open-membership overlay; null on the group stack.
+  struct Overlay;
+
+  IdeaNode(NodeId self, FileId file, net::Transport& transport,
+           IdeaConfig config, std::uint64_t seed, bool attach_transport,
+           std::uint32_t group_size);
+
   void on_detection(const detect::DetectionResult& result);
   void on_scan_report(const detect::ScanReport& report);
   void arm_background_timer(SimDuration period);
   void background_tick();
   [[nodiscard]] std::vector<NodeId> current_top_layer();
+  void arm_detection();
+  void detection_round();
+  /// Group stack: the replica's state may have moved — re-arm parked
+  /// detection and keep the next round from parking.
+  void wake_detection();
 
   NodeId self_;
   FileId file_;
@@ -217,17 +256,18 @@ class IdeaNode {
   IdeaConfig config_;
 
   replica::ReplicaStore store_;
-  overlay::TemperatureTracker temperature_;
-  overlay::TwoLayerView two_layer_;
   net::Dispatcher dispatcher_;
-  overlay::GossipAgent gossip_;
-  overlay::RanSubAgent ransub_;
+  std::unique_ptr<Overlay> overlay_;
+  std::vector<NodeId> group_ranks_;  ///< Group stack's top layer.
   detect::InconsistencyDetector detector_;
   ResolutionManager resolution_;
   AdaptiveController controller_;
 
   LevelSample level_;
   std::uint64_t detection_timer_ = 0;
+  /// Group stack: a write, ingest or divergent probe since the last
+  /// periodic round began.
+  bool woken_ = false;
   std::uint64_t background_timer_ = 0;
   SimDuration background_period_ = 0;
   std::uint64_t blocked_writes_ = 0;

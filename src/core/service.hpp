@@ -38,7 +38,7 @@ class IdeaService final : public net::MessageHandler {
   IdeaService& operator=(const IdeaService&) = delete;
 
   /// Open (join) a shared file with its own configuration; returns the
-  /// per-file IDEA stack.  Each file gets an independent overlay,
+  /// per-file IDEA stack — the paper stack, with its own overlay,
   /// detector, resolution manager and controller.
   ///
   /// Keep-first semantics: if the file is already open, the existing stack
@@ -46,33 +46,29 @@ class IdeaService final : public net::MessageHandler {
   /// stack would silently discard its overlay/detector state, so callers
   /// that really want different settings must close() first and reopen.
   IdeaNode& open(FileId file, IdeaConfig config) {
-    return open_via(file, std::move(config), transport_, self_,
-                    /*inbound=*/nullptr);
+    return emplace(file, /*inbound=*/nullptr, [&](std::uint64_t seed) {
+      return std::make_unique<IdeaNode>(self_, file, transport_,
+                                        std::move(config), seed,
+                                        /*attach_transport=*/false);
+    });
   }
 
-  /// Open a file whose protocol stack runs in a private id space over a
-  /// custom transport.  Sharded deployments use this: each file's replica
-  /// group gets a rank-translating group transport, `protocol_self` is
-  /// this endpoint's dense rank within the group, and `inbound` (when
-  /// non-null) receives the file's raw transport messages so the caller
-  /// can translate ids before demultiplexing into the node's dispatcher.
+  /// Open a file as rank `protocol_self` of a ring-managed replica group
+  /// of `group_size` ranks: the group stack (see IdeaNode), running in
+  /// the group's private rank-id space over a custom transport.  Sharded
+  /// deployments use this: each file's replica group gets a
+  /// rank-translating group transport, and `inbound` (when non-null)
+  /// receives the file's raw transport messages so the caller can
+  /// translate ids before demultiplexing into the node's dispatcher.
   /// Keep-first, exactly as open().
   IdeaNode& open_via(FileId file, IdeaConfig config, net::Transport& via,
-                     NodeId protocol_self,
+                     NodeId protocol_self, std::uint32_t group_size,
                      net::MessageHandler* inbound = nullptr) {
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-      auto node = std::make_unique<IdeaNode>(
-          protocol_self, file, via, std::move(config),
-          mix64(seed_ ^ (0xF11EULL + file)),
-          /*attach_transport=*/false);
-      Entry entry;
-      entry.sink = inbound != nullptr ? inbound : &node->dispatcher();
-      entry.node = std::move(node);
-      it = files_.emplace(file, std::move(entry)).first;
-      index_sink(file, it->second.sink);
-    }
-    return *it->second.node;
+    return emplace(file, inbound, [&](std::uint64_t seed) {
+      return std::make_unique<IdeaNode>(protocol_self, file, via,
+                                        std::move(config), seed,
+                                        GroupStack{group_size});
+    });
   }
 
   /// Leave a shared file, tearing down its protocol stack.  Closing a file
@@ -125,6 +121,21 @@ class IdeaService final : public net::MessageHandler {
     std::unique_ptr<IdeaNode> node;
     net::MessageHandler* sink = nullptr;  ///< Borrowed inbound handler.
   };
+
+  /// Keep-first install: `make(seed)` builds the stack only when `file` is
+  /// not open yet.
+  template <typename Make>
+  IdeaNode& emplace(FileId file, net::MessageHandler* inbound, Make make) {
+    auto it = files_.find(file);
+    if (it == files_.end()) {
+      Entry entry;
+      entry.node = make(mix64(seed_ ^ (0xF11EULL + file)));
+      entry.sink = inbound != nullptr ? inbound : &entry.node->dispatcher();
+      it = files_.emplace(file, std::move(entry)).first;
+      index_sink(file, it->second.sink);
+    }
+    return *it->second.node;
+  }
 
   /// Largest file id mirrored into the dense sink array (8 bytes/slot).
   static constexpr FileId kDenseFileLimit = 1u << 20;

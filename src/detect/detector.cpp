@@ -77,7 +77,7 @@ NodeId choose_reference_by_counts(
 
 InconsistencyDetector::InconsistencyDetector(
     NodeId self, FileId file, net::Transport& transport,
-    replica::ReplicaStore& store, overlay::GossipAgent& gossip,
+    replica::ReplicaStore& store, overlay::GossipAgent* gossip,
     std::function<std::vector<NodeId>()> top_layer, DetectorParams params,
     std::uint64_t seed)
     : self_(self), file_(file), transport_(transport), store_(store),
@@ -192,6 +192,11 @@ void InconsistencyDetector::on_message(const net::Message& msg) {
 
 void InconsistencyDetector::handle_probe(const net::Message& msg) {
   const auto& p = msg.payload.as<ProbePayload>();
+  if (on_divergence_ &&
+      vv::ExtendedVersionVector::compare(*p.evv, store_.evv()) !=
+          vv::Order::kEqual) {
+    on_divergence_();
+  }
   net::Message reply;
   reply.from = self_;
   reply.to = msg.from;
@@ -224,7 +229,9 @@ void InconsistencyDetector::handle_report(const net::Message& msg) {
 }
 
 void InconsistencyDetector::start_background_scan() {
-  if (!params_.enable_bottom_scan || scan_timer_ != 0) return;
+  if (gossip_ == nullptr || !params_.enable_bottom_scan || scan_timer_ != 0) {
+    return;
+  }
   scan_timer_ =
       transport_.call_every(params_.scan_period, [this] { run_scan(); });
 }
@@ -238,8 +245,9 @@ void InconsistencyDetector::stop_background_scan() {
 
 void InconsistencyDetector::run_scan() {
   ++scans_;
-  gossip_.broadcast(file_, kScanInnerType, ScanPayload{store_.evv_snapshot()},
-                    store_.evv().wire_bytes());
+  gossip_->broadcast(file_, kScanInnerType,
+                     ScanPayload{store_.evv_snapshot()},
+                     store_.evv().wire_bytes());
 }
 
 void InconsistencyDetector::on_gossip(const overlay::GossipEnvelope& env) {

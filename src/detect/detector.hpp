@@ -8,8 +8,9 @@
 /// (no conflict) or "fail" (conflict) together with the data needed to
 /// quantify the inconsistency (the gathered EVVs and the reference state).
 ///
-/// In the background, the detector periodically gossips its EVV through the
-/// bottom layer (TTL-bounded, §4.4.2).  Peers that discover a conflict with
+/// In the background (paper stack only: the detector needs a gossip agent),
+/// the detector periodically gossips its EVV through the bottom layer
+/// (TTL-bounded, §4.4.2).  Peers that discover a conflict with
 /// the origin report back directly; the origin surfaces a discrepancy event
 /// when the bottom layer's view contradicts the last top-layer result —
 /// the trigger for IDEA's rollback path.
@@ -76,9 +77,10 @@ class InconsistencyDetector final : public net::MessageHandler {
 
   /// `top_layer` yields the node's current view of the top layer for the
   /// file (self may or may not be included; the detector handles both).
+  /// `gossip` carries the bottom-layer scan; null means no scan.
   InconsistencyDetector(NodeId self, FileId file, net::Transport& transport,
                         replica::ReplicaStore& store,
-                        overlay::GossipAgent& gossip,
+                        overlay::GossipAgent* gossip,
                         std::function<std::vector<NodeId>()> top_layer,
                         DetectorParams params, std::uint64_t seed);
   ~InconsistencyDetector() override;
@@ -91,12 +93,18 @@ class InconsistencyDetector final : public net::MessageHandler {
   /// are allowed (distinguished by round id).
   void detect(DetectCallback cb);
 
-  /// Start/stop the periodic bottom-layer scan.
+  /// Start/stop the periodic bottom-layer scan (no-op without gossip).
   void start_background_scan();
   void stop_background_scan();
 
   /// Fires when a bottom-layer peer reports a conflict with our state.
   void set_report_callback(ReportCallback cb) { on_report_ = std::move(cb); }
+
+  /// Fires when an inbound probe carries EVV counts that differ from this
+  /// replica's own (before the reply goes out).
+  void set_divergence_callback(std::function<void()> cb) {
+    on_divergence_ = std::move(cb);
+  }
 
   void on_message(const net::Message& msg) override;
 
@@ -130,7 +138,7 @@ class InconsistencyDetector final : public net::MessageHandler {
   FileId file_;
   net::Transport& transport_;
   replica::ReplicaStore& store_;
-  overlay::GossipAgent& gossip_;
+  overlay::GossipAgent* gossip_;
   std::function<std::vector<NodeId>()> top_layer_;
   DetectorParams params_;
   Rng rng_;
@@ -140,6 +148,7 @@ class InconsistencyDetector final : public net::MessageHandler {
   std::unordered_map<std::uint64_t, PendingRound> pending_;
   std::uint64_t scan_timer_ = 0;
   ReportCallback on_report_;
+  std::function<void()> on_divergence_;
 };
 
 }  // namespace idea::detect

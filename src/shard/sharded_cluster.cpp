@@ -158,14 +158,7 @@ void ShardedCluster::place(FileId first, std::uint32_t count) {
 
 ShardedCluster::FileGroup& ShardedCluster::open_group(
     FileId file, std::vector<NodeId> members) {
-  // Scope the per-file protocol to the group: the RanSub tree, gossip peer
-  // space and bottom layer all cover exactly the k replicas, in rank space.
-  core::IdeaConfig idea = config_.idea;
   const auto k = static_cast<std::uint32_t>(members.size());
-  idea.ransub.nodes = k;
-  idea.gossip.nodes = k;
-  idea.two_layer.all_nodes = k;
-
   const std::uint32_t epoch = ++epochs_[file];
   FileGroup group;
   group.members = std::move(members);
@@ -182,8 +175,9 @@ ShardedCluster::FileGroup& ShardedCluster::open_group(
     }
     auto transport = std::make_unique<GroupTransport>(
         edge(), group.members, rank, epoch);
+    // The group stack: the k ranks are the file's whole top layer.
     core::IdeaNode& node = services_[group.members[rank]]->open_via(
-        file, idea, *transport, rank, transport.get());
+        file, config_.idea, *transport, rank, k, transport.get());
     transport->set_sink(&node.dispatcher());
     group.sync.push_back(std::make_unique<ReplicaSyncAgent>(
         node, *transport, k,

@@ -35,7 +35,7 @@ class DetectorFixture : public ::testing::Test {
           },
           500 + n));
       detectors_.push_back(std::make_unique<InconsistencyDetector>(
-          n, kFile, *transport_, *stores_[n], *gossips_[n],
+          n, kFile, *transport_, *stores_[n], gossips_[n].get(),
           [this] { return top_layer_; }, params, 900 + n));
       dispatchers_[n]->route("gossip.", gossips_[n].get());
       dispatchers_[n]->route("detect.", detectors_[n].get());

@@ -149,12 +149,11 @@ TEST(ObservabilityDeterminism, Seed2007GoldensHoldWithObsEnabled) {
   EXPECT_EQ(r.puts, 387u);
   EXPECT_EQ(r.converged, 120u);
   EXPECT_EQ(r.digest, 0xd4cf90538821fb05ull);
-  EXPECT_EQ(r.logical_messages, 10966u);
-  EXPECT_EQ(r.wire_messages, 2355u);
+  EXPECT_EQ(r.logical_messages, 4782u);
+  EXPECT_EQ(r.wire_messages, 2170u);
   const Golden expected{
-      {"detect.probe", 3200},     {"detect.reply", 2672},
-      {"gossip.push", 2160},      {"ransub.collect", 720},
-      {"ransub.distribute", 720}, {"ransub.epoch", 720},
+      {"detect.probe", 2004},
+      {"detect.reply", 2004},
       {"shard.replicate", 774},
   };
   EXPECT_EQ(r.per_type, expected);
@@ -168,14 +167,12 @@ TEST(ObservabilityDeterminism, ChurnSeed2007GoldensHoldWithObsEnabled) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);
   EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 9823u);
-  EXPECT_EQ(r.wire_messages, 2231u);
+  EXPECT_EQ(r.logical_messages, 8080u);
+  EXPECT_EQ(r.wire_messages, 2094u);
   const Golden expected{
-      {"detect.probe", 1054},   {"detect.reply", 976},
-      {"gossip.push", 1080},    {"ransub.collect", 274},
-      {"ransub.distribute", 274}, {"ransub.epoch", 274},
-      {"shard.digest", 2751},   {"shard.migrate", 76},
-      {"shard.repair", 2688},   {"shard.replicate", 376},
+      {"detect.probe", 1122}, {"detect.reply", 1068},
+      {"shard.digest", 2751}, {"shard.migrate", 76},
+      {"shard.repair", 2687}, {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
   // Churn exercises the AE + migration instrumentation.

@@ -361,7 +361,6 @@ TEST(CrashRecoveryTest, ActingCoordinatorDrivesLevelProbeAndReplicaSelection) {
   ShardedClusterConfig cfg = crash_config(
       515, replica::CheckpointEngineKind::kNone, /*loss_rate=*/0.0);
   cfg.anti_entropy_period = 0;  // nothing heals the divergence below
-  cfg.idea.ransub.epoch = msec(500);  // the top layer forms quickly
   ShardedCluster cluster(cfg);
   cluster.ensure_open(kFile);
   const std::vector<NodeId> group = cluster.group_of(kFile);
@@ -371,7 +370,7 @@ TEST(CrashRecoveryTest, ActingCoordinatorDrivesLevelProbeAndReplicaSelection) {
     ASSERT_TRUE(session.put(kFile, "base" + std::to_string(i), 1.0).ok());
     cluster.run_for(msec(500));
   }
-  // The whole group holds the base and has surfaced as the top layer.
+  // The whole group holds the base; its ranks are the top layer.
   ASSERT_EQ(cluster.replica(kFile, group[1])->top_layer().size(), 3u);
 
   cluster.crash_endpoint(group[0]);

@@ -87,12 +87,14 @@ TEST(ShardedClusterDeterminism, Seed2007MatchesPreRefactorRun) {
   EXPECT_EQ(r.puts, 387u);
   EXPECT_EQ(r.converged, 120u);
   EXPECT_EQ(r.digest, 0xd4cf90538821fb05ull);
-  EXPECT_EQ(r.logical_messages, 10966u);
-  EXPECT_EQ(r.wire_messages, 2355u);
+  // Counts re-pinned when groups moved to the lean group stack (no
+  // RanSub or gossip, parked detection); puts, convergence and the
+  // digest are unchanged.
+  EXPECT_EQ(r.logical_messages, 4782u);
+  EXPECT_EQ(r.wire_messages, 2170u);
   const Golden expected{
-      {"detect.probe", 3200},     {"detect.reply", 2672},
-      {"gossip.push", 2160},      {"ransub.collect", 720},
-      {"ransub.distribute", 720}, {"ransub.epoch", 720},
+      {"detect.probe", 2004},
+      {"detect.reply", 2004},
       {"shard.replicate", 774},
   };
   EXPECT_EQ(r.per_type, expected);
@@ -103,12 +105,11 @@ TEST(ShardedClusterDeterminism, Seed555MatchesPreRefactorRun) {
   EXPECT_EQ(r.puts, 390u);
   EXPECT_EQ(r.converged, 120u);
   EXPECT_EQ(r.digest, 0xb8bd153ba9842aa6ull);
-  EXPECT_EQ(r.logical_messages, 11140u);
-  EXPECT_EQ(r.wire_messages, 2348u);
+  EXPECT_EQ(r.logical_messages, 4836u);
+  EXPECT_EQ(r.wire_messages, 2380u);
   const Golden expected{
-      {"detect.probe", 3296},     {"detect.reply", 2744},
-      {"gossip.push", 2160},      {"ransub.collect", 720},
-      {"ransub.distribute", 720}, {"ransub.epoch", 720},
+      {"detect.probe", 2028},
+      {"detect.reply", 2028},
       {"shard.replicate", 780},
   };
   EXPECT_EQ(r.per_type, expected);
@@ -190,14 +191,12 @@ TEST(ShardedClusterDeterminism, ChurnSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);
   EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 9823u);
-  EXPECT_EQ(r.wire_messages, 2231u);
+  EXPECT_EQ(r.logical_messages, 8080u);
+  EXPECT_EQ(r.wire_messages, 2094u);
   const Golden expected{
-      {"detect.probe", 1054},   {"detect.reply", 976},
-      {"gossip.push", 1080},    {"ransub.collect", 274},
-      {"ransub.distribute", 274}, {"ransub.epoch", 274},
-      {"shard.digest", 2751},   {"shard.migrate", 76},
-      {"shard.repair", 2688},   {"shard.replicate", 376},
+      {"detect.probe", 1122}, {"detect.reply", 1068},
+      {"shard.digest", 2751}, {"shard.migrate", 76},
+      {"shard.repair", 2687}, {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
 }
@@ -283,15 +282,13 @@ TEST(ShardedClusterDeterminism, CrashSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);  // crash+restart heals every file
   EXPECT_EQ(r.digest, 4624972137363858675ull);
-  EXPECT_EQ(r.logical_messages, 9455u);
-  EXPECT_EQ(r.wire_messages, 1902u);
+  EXPECT_EQ(r.logical_messages, 7664u);
+  EXPECT_EQ(r.wire_messages, 1834u);
   // No shard.migrate: restart recovery streams deltas over digest/repair,
   // never the membership-migration path.
   const Golden expected{
-      {"detect.probe", 980},      {"detect.reply", 878},
-      {"gossip.push", 1080},      {"ransub.collect", 286},
-      {"ransub.distribute", 286}, {"ransub.epoch", 286},
-      {"shard.digest", 2695},     {"shard.repair", 2588},
+      {"detect.probe", 1024}, {"detect.reply", 984},
+      {"shard.digest", 2695}, {"shard.repair", 2585},
       {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);

@@ -8,8 +8,10 @@
 /// digest/repair healing are exercised under real concurrency instead of
 /// the discrete-event kernel.  All protocol activity runs on the
 /// transport's dispatcher thread; the test thread only schedules work via
-/// call_after and joins the timeline with wait_idle (the nodes are not
-/// start()ed, so no periodic timers keep the queue busy forever).
+/// call_after and joins the timeline with wait_idle.  Most cases leave the
+/// nodes un-start()ed, so no periodic timers keep the queue busy; the one
+/// that starts them relies on idle group stacks parking their detection
+/// timers.
 
 #include <gtest/gtest.h>
 
@@ -40,10 +42,11 @@ FileStack open_group(
     std::vector<std::unique_ptr<core::IdeaService>>& services) {
   core::IdeaConfig idea;
   idea.maxima = vv::TripleMaxima{20, 20, 20};
+  // Started stacks only: a probe round gives up after 30 virtual seconds
+  // (30 ms real at the tests' time scale), so a slow sanitizer build
+  // still sees replies arrive in time.
+  idea.detector.probe_timeout = sec(30);
   const auto k = static_cast<std::uint32_t>(members.size());
-  idea.ransub.nodes = k;
-  idea.gossip.nodes = k;
-  idea.two_layer.all_nodes = k;
 
   FileStack stack;
   stack.members = std::move(members);
@@ -51,7 +54,7 @@ FileStack open_group(
     auto transport =
         std::make_unique<GroupTransport>(edge, stack.members, rank);
     core::IdeaNode& node = services[stack.members[rank]]->open_via(
-        file, idea, *transport, rank, transport.get());
+        file, idea, *transport, rank, k, transport.get());
     transport->set_sink(&node.dispatcher());
     stack.sync.push_back(
         std::make_unique<ReplicaSyncAgent>(node, *transport, k));
@@ -163,6 +166,59 @@ TEST(ThreadShardTest, AntiEntropyHealsColdReplicaOverThreadTransport) {
         << "rank " << rank;
   }
   EXPECT_GT(stack.sync[1]->stats().repair_updates_applied, 0u);
+
+  stack.sync.clear();
+  services.clear();
+}
+
+TEST(ThreadShardTest, IdleGroupParksAndRearmsOverThreadTransport) {
+  // Started group stacks park their detection timers once the group is
+  // idle: a clean round cancels its own periodic timer from a handler on
+  // the dispatcher thread, and a later put re-arms every rank with
+  // call_every from other handlers.  With every timer parked the queue
+  // drains, so wait_idle returning at all proves the park.
+  constexpr FileId kFile = 9;
+  sim::PlanetLabParams lat;
+  lat.nodes = 3;
+  sim::PlanetLabLatency latency(lat);
+  net::ThreadTransportOptions topt;
+  topt.time_scale = 0.001;
+  net::ThreadTransport transport(latency, topt);
+
+  std::vector<std::unique_ptr<core::IdeaService>> services;
+  for (NodeId n = 0; n < 3; ++n) {
+    services.push_back(std::make_unique<core::IdeaService>(
+        n, transport, mix64(0x9A2C + n)));
+  }
+  FileStack stack = open_group(kFile, {0, 1, 2}, transport, services);
+  auto parked = [&services] {
+    for (NodeId n = 0; n < 3; ++n) {
+      if (services[n]->find(kFile)->detection_armed()) return false;
+    }
+    return true;
+  };
+
+  // Arm on the dispatcher thread, which owns the timer handles.
+  transport.call_after(msec(1), [&services] {
+    for (NodeId n = 0; n < 3; ++n) services[n]->find(kFile)->start();
+  });
+  ASSERT_TRUE(transport.wait_idle(sec(36000)));
+  EXPECT_TRUE(parked());
+  const std::uint64_t probes =
+      transport.counters().messages_of("detect.probe");
+  EXPECT_GT(probes, 0u);
+
+  transport.call_after(msec(1),
+                       [&stack] { stack.sync[0]->put("wake", 1.0); });
+  ASSERT_TRUE(transport.wait_idle(sec(36000)));
+  EXPECT_TRUE(parked());
+  EXPECT_GT(transport.counters().messages_of("detect.probe"), probes);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(services[n]->find(kFile)->store().update_count(), 1u)
+        << "rank " << n;
+  }
+  EXPECT_EQ(transport.counters().messages_of("gossip.push"), 0u);
+  EXPECT_EQ(transport.counters().messages_of("ransub.epoch"), 0u);
 
   stack.sync.clear();
   services.clear();
