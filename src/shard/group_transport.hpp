@@ -3,10 +3,10 @@
 /// \brief Per-file transport adapter mapping replica-group ranks to real
 ///        endpoint ids.
 ///
-/// The per-file protocol stack (RanSub tree, gossip peer sampling, the
-/// two-layer view) addresses a dense id space 0..k-1 with node 0 as the
-/// RanSub root.  A consistent-hash replica group, however, is an arbitrary
-/// subset of endpoints, e.g. {3, 17, 29}.  GroupTransport bridges the two:
+/// The per-file group stack (detection, resolution, replication) addresses
+/// a dense id space 0..k-1 whose ranks are the file's top layer, with rank
+/// 0 the coordinator.  A consistent-hash replica group, however, is an
+/// arbitrary subset of endpoints, e.g. {3, 17, 29}.  GroupTransport bridges the two:
 /// each group member's IdeaNode runs with its *rank* within the group as
 /// its node id, outbound messages have rank ids translated to real
 /// endpoint ids, and inbound messages are translated back before being

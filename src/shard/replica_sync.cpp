@@ -337,6 +337,8 @@ std::size_t ReplicaSyncAgent::apply_batch(
       ++applied;
     }
   }
+  // Every ingest path (push, repair, migration stream) re-arms parked
+  // detection here.
   if (applied > 0) node_.note_replica_activity();
   return applied;
 }

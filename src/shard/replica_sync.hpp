@@ -12,8 +12,8 @@
 ///  * Push ("shard.replicate"): the coordinator's put() applies the write
 ///    locally, then pushes the new update to every other rank.  Receivers
 ///    apply it idempotently (ReplicaStore::apply_remote buffers
-///    out-of-order arrivals) and record hosting activity so the whole
-///    group stays in the file's top layer.
+///    out-of-order arrivals) and record hosting activity, which re-arms
+///    the receiver's parked detection timer.
 ///
 ///  * Anti-entropy ("shard.digest" / "shard.repair"): a push lost to the
 ///    network would leave a replica cold forever, so each agent may run a

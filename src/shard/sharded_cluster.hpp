@@ -9,15 +9,17 @@
 /// simulated transport (optionally wrapped in a BatchingTransport so the
 /// routing fan-out coalesces per tick), and places every file on the
 /// replica group the HashRing assigns it.  Each file's protocol stack is
-/// scoped to its group through a rank-translating GroupTransport, so the
-/// group forms the file's private RanSub tree / gossip mesh / top layer —
-/// §4.1's per-file independence, now across thousands of tenants.
+/// scoped to its group through a rank-translating GroupTransport.  The
+/// stack is IdeaNode's lean group stack: the ring fixes membership, so the
+/// group's k ranks are the file's whole top layer, with no RanSub tree or
+/// gossip mesh, and an idle file's detection timer parks — §4.1's per-file
+/// independence, now across thousands of tenants.
 ///
 /// Elastic membership: add_endpoint()/remove_endpoint() recompute the
 /// ring and migrate exactly the files whose replica group changed (the
 /// set HashRing::rebalance quantifies).  A migrated file's group is
-/// rebuilt on the new members — a fresh group epoch: overlay and detector
-/// state restart, rank ids are reassigned by the new ring order — and its
+/// rebuilt on the new members — a fresh group epoch: detector state
+/// restarts, rank ids are reassigned by the new ring order — and its
 /// state moves by streaming: the union of the old replicas' logs seeds
 /// the new coordinator synchronously (its durable hand-off), which then
 /// streams the batch to the other ranks as "shard.migrate" messages over
@@ -52,7 +54,12 @@ struct ShardedClusterConfig {
   std::uint32_t endpoints = 8;    ///< Service endpoints to stand up.
   std::uint32_t replication = 3;  ///< Replica-group size k per file.
   HashRingParams ring;
-  core::IdeaConfig idea;  ///< Template; group-scoped copies per file.
+  /// Template for every replica's group stack (IdeaNode's GroupStack
+  /// constructor).  Groups ignore the overlay and bottom-scan fields:
+  /// `temperature`, `two_layer`, `ransub`, `gossip`, `detect_on_write`,
+  /// `detector.scan_period`, `detector.enable_bottom_scan`,
+  /// `discrepancy_threshold` and `auto_rollback`.
+  core::IdeaConfig idea;
   sim::PlanetLabParams latency;
   net::SimTransportOptions transport;
   bool batching = true;  ///< Coalesce same-pair sends per tick.

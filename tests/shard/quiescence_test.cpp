@@ -229,6 +229,28 @@ TEST(QuiescenceTest, DivergentInboundProbeRearms) {
   EXPECT_LT(cluster.replica_at_rank(kFile, 1)->current_level(), 1.0);
 }
 
+TEST(QuiescenceTest, WriteDuringACleanRoundKeepsTheTimerArmed) {
+  ShardedCluster cluster(quiet_config(39));
+  cluster.ensure_open(kFile);
+  ASSERT_TRUE(run_until_parked(cluster, kFile));
+  core::IdeaNode* coord = cluster.replica_at_rank(kFile, 0);
+
+  // Re-arm rank 0 alone.  Its first round follows the wake, so it may not
+  // park; the second starts quiet and is in flight just after its tick.
+  coord->note_replica_activity();
+  cluster.run_for(2 * kPeriod + msec(1));
+  ASSERT_TRUE(armed(cluster, kFile, 0));
+  // A local write that is never replicated lands mid-round.  The round
+  // still gathers equal counts, but it must not park: nothing else would
+  // ever notice that rank 0 moved.
+  ASSERT_TRUE(coord->write("mid-round", 1.0));
+  cluster.run_for(kPeriod / 2);
+  EXPECT_TRUE(armed(cluster, kFile, 0));
+  cluster.run_for(3 * kPeriod);
+  EXPECT_TRUE(armed(cluster, kFile, 1));
+  EXPECT_LT(cluster.replica_at_rank(kFile, 1)->current_level(), 1.0);
+}
+
 TEST(QuiescenceTest, LevelProbeDropsWhenRanksDivergeUnderLoss) {
   ShardedCluster cluster(quiet_config(38));
   cluster.ensure_open(kFile);
