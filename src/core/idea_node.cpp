@@ -7,6 +7,15 @@
 
 namespace idea::core {
 
+namespace {
+
+/// No conflict and every probed peer replied.
+bool clean_round(const detect::DetectionResult& result) {
+  return !result.conflict && result.peers_replied == result.peers_probed;
+}
+
+}  // namespace
+
 struct IdeaNode::Overlay {
   Overlay(IdeaNode& node, std::uint64_t seed);
 
@@ -212,15 +221,14 @@ void IdeaNode::detection_round() {
     probe();
     return;
   }
-  // Park after a clean round that nothing touched: no conflict, every
-  // probed peer replied, and no write, ingest or divergent probe since
-  // the previous round began or while this one ran.
+  // Park after a clean round that nothing touched: no write, ingest or
+  // divergent probe since the previous round began or while this one ran.
   const bool quiet = !woken_;
   woken_ = false;
   probe([this, quiet](const detect::DetectionResult& result) {
-    const bool clean =
-        !result.conflict && result.peers_replied == result.peers_probed;
-    if (!clean || !quiet || woken_ || detection_timer_ == 0) return;
+    if (!quiet || woken_ || !clean_round(result) || detection_timer_ == 0) {
+      return;
+    }
     transport_.cancel_call(detection_timer_);
     detection_timer_ = 0;
   });
@@ -242,10 +250,7 @@ void IdeaNode::on_detection(const detect::DetectionResult& result) {
   level_ = sample;
   // A parked group stack keeps serving its last level, so only a clean
   // round may leave the timer parked.
-  if (overlay_ == nullptr &&
-      (result.conflict || result.peers_replied < result.peers_probed)) {
-    arm_detection();
-  }
+  if (overlay_ == nullptr && !clean_round(result)) arm_detection();
   controller_.observe_level(sample.level, sample.at, sample.conflict);
   if (on_level_) on_level_(sample);
 }

@@ -210,7 +210,6 @@ class IdeaNode {
   /// The file's top layer as this node sees it; ranks 0..k-1 on the group
   /// stack.
   [[nodiscard]] std::vector<NodeId> top_layer() const;
-  [[nodiscard]] bool group_stack() const { return overlay_ == nullptr; }
   /// True while the periodic detection timer is pending (false once a
   /// group stack parked it, or when detection_period is 0).
   [[nodiscard]] bool detection_armed() const { return detection_timer_ != 0; }

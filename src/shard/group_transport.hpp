@@ -6,9 +6,9 @@
 /// The per-file group stack (detection, resolution, replication) addresses
 /// a dense id space 0..k-1 whose ranks are the file's top layer, with rank
 /// 0 the coordinator.  A consistent-hash replica group, however, is an
-/// arbitrary subset of endpoints, e.g. {3, 17, 29}.  GroupTransport bridges the two:
-/// each group member's IdeaNode runs with its *rank* within the group as
-/// its node id, outbound messages have rank ids translated to real
+/// arbitrary subset of endpoints, e.g. {3, 17, 29}.  GroupTransport bridges
+/// the two: each group member's IdeaNode runs with its *rank* within the
+/// group as its node id, outbound messages have rank ids translated to real
 /// endpoint ids, and inbound messages are translated back before being
 /// demultiplexed into the node's dispatcher.  Latency, loss and clock skew
 /// still come from the real endpoint pair, so the group inherits the
